@@ -41,7 +41,7 @@ pub use cell::{ArcKind, ArcSigma, Cell, FfSpec, Pin, PinDirection, PowerArc, Tim
 pub use function::LogicFunction;
 pub use library::{DelayHistogram, Library, LibraryStats};
 pub use provenance::{Provenance, ResidualStats};
-pub use table::Lut2;
+pub use table::{Located, Lut2};
 
 use std::error::Error;
 use std::fmt;

@@ -104,11 +104,36 @@ impl Lut2 {
     }
 
     /// Bilinear lookup at `(slew, load)` with linear extrapolation outside
-    /// the characterized grid.
+    /// the characterized grid: [`Lut2::interpolate`] at [`Lut2::locate`].
+    #[inline]
     #[must_use]
     pub fn lookup(&self, slew: f64, load: f64) -> f64 {
-        let (i, fi) = Self::locate(&self.index1, slew);
-        let (j, fj) = Self::locate(&self.index2, load);
+        self.interpolate(self.locate(slew, load))
+    }
+
+    /// Locate `(slew, load)` on this table's axes: the bracketing segment
+    /// and fractional position on each. Fractions outside `[0, 1]` produce
+    /// linear extrapolation.
+    #[inline]
+    #[must_use]
+    pub fn locate(&self, slew: f64, load: f64) -> Located {
+        let (i, fi) = locate_on(&self.index1, slew);
+        let (j, fj) = locate_on(&self.index2, load);
+        Located { i, fi, j, fj }
+    }
+
+    /// Interpolate at a point located on this table or on any table with
+    /// the same axes ([`Lut2::same_axes`]): one [`Lut2::locate`] then
+    /// serves several tables, each bit for bit as its own
+    /// [`Lut2::lookup`].
+    ///
+    /// # Panics
+    ///
+    /// May panic on a point located on a table with more grid points.
+    #[inline]
+    #[must_use]
+    pub fn interpolate(&self, at: Located) -> f64 {
+        let Located { i, fi, j, fj } = at;
         let n2 = self.index2.len();
         let at = |a: usize, b: usize| self.values[a * n2 + b];
         if self.index1.len() == 1 && n2 == 1 {
@@ -130,16 +155,14 @@ impl Lut2 {
             + v11 * fi * fj
     }
 
-    /// Find the bracketing segment and fractional position of `x` on `axis`.
-    /// Fractions outside `[0, 1]` produce linear extrapolation.
-    fn locate(axis: &[f64], x: f64) -> (usize, f64) {
-        if axis.len() == 1 {
-            return (0, 0.0);
-        }
-        let mut i = axis.partition_point(|&a| a < x);
-        i = i.clamp(1, axis.len() - 1);
-        let (a, b) = (axis[i - 1], axis[i]);
-        ((i - 1), (x - a) / (b - a))
+    /// Whether `other` has exactly this table's axes, bit for bit, so a
+    /// point located on one interpolates the other exactly.
+    #[must_use]
+    pub fn same_axes(&self, other: &Lut2) -> bool {
+        let same = |a: &[f64], b: &[f64]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        };
+        same(&self.index1, &other.index1) && same(&self.index2, &other.index2)
     }
 
     /// Mean of all table values (used for library-level statistics).
@@ -169,8 +192,31 @@ impl Lut2 {
     }
 }
 
+/// A lookup point located on a table's axes by [`Lut2::locate`].
+#[derive(Debug, Clone, Copy)]
+pub struct Located {
+    i: usize,
+    fi: f64,
+    j: usize,
+    fj: f64,
+}
+
+/// Find the bracketing segment and fractional position of `x` on `axis`.
+#[inline]
+fn locate_on(axis: &[f64], x: f64) -> (usize, f64) {
+    if axis.len() == 1 {
+        return (0, 0.0);
+    }
+    let mut i = axis.partition_point(|&a| a < x);
+    i = i.clamp(1, axis.len() - 1);
+    let (a, b) = (axis[i - 1], axis[i]);
+    ((i - 1), (x - a) / (b - a))
+}
+
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn table() -> Lut2 {
@@ -232,6 +278,59 @@ mod tests {
     fn scaling() {
         let t = table().scaled(2.0);
         assert!((t.lookup(2e-12, 2e-15) - 2.0 * (1e-12 + 4e-12 + 6e-12)).abs() < 1e-24);
+    }
+
+    /// An axis from its first point and the positive steps after it.
+    fn axis(start: f64, steps: &[f64]) -> Vec<f64> {
+        let mut x = start;
+        let mut out = vec![x];
+        for s in steps {
+            x += s;
+            out.push(x);
+        }
+        out
+    }
+
+    proptest! {
+        #[test]
+        fn one_locate_serves_every_table_on_the_same_axes(
+            (s0, l0) in (0.0f64..1e-11, 0.0f64..1e-14),
+            s_steps in prop::collection::vec(1e-13f64..1e-11, 0..7),
+            l_steps in prop::collection::vec(1e-16f64..1e-14, 0..7),
+            (va, vb) in (
+                prop::collection::vec(-1e-9f64..1e-9, 49),
+                prop::collection::vec(-1e-9f64..1e-9, 49),
+            ),
+            (slew, load) in (-1e-10f64..2e-10, -1e-13f64..2e-13),
+            (pick, k) in (0usize..2, 0usize..7),
+        ) {
+            let (i1, i2) = (axis(s0, &s_steps), axis(l0, &l_steps));
+            let n = i1.len() * i2.len();
+            let a = Lut2::new(i1.clone(), i2.clone(), va[..n].to_vec()).unwrap();
+            let b = Lut2::new(i1.clone(), i2.clone(), vb[..n].to_vec()).unwrap();
+            prop_assert!(a.same_axes(&b));
+            let at = a.locate(slew, load);
+            prop_assert_eq!(b.interpolate(at).to_bits(), b.lookup(slew, load).to_bits());
+            prop_assert_eq!(a.interpolate(at).to_bits(), a.lookup(slew, load).to_bits());
+
+            // Move one axis value up by one ulp: still a valid table, no
+            // longer the same axes.
+            let (mut j1, mut j2) = (i1, i2);
+            let moved = if pick == 0 { &mut j1 } else { &mut j2 };
+            let k = k % moved.len();
+            moved[k] = moved[k].next_up();
+            let c = Lut2::new(j1, j2, vb[..n].to_vec()).unwrap();
+            prop_assert!(!a.same_axes(&c) && !c.same_axes(&a));
+        }
+    }
+
+    #[test]
+    fn axes_of_another_length_differ() {
+        let t = table();
+        let short = Lut2::new(vec![1e-12, 2e-12], vec![1e-15, 2e-15, 3e-15], vec![0.0; 6]).unwrap();
+        assert!(!t.same_axes(&short) && !short.same_axes(&t));
+        assert!(t.same_axes(&t.scaled(3.0)));
+        assert!(!Lut2::constant(1.0).same_axes(&t));
     }
 
     #[test]

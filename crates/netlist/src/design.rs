@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
+use std::sync::OnceLock;
 
 use cryo_liberty::Library;
 
@@ -84,7 +85,9 @@ pub struct MacroInstance {
 ///
 /// Instances are stored as indices: each holds its interned cell type and
 /// region, an offset into one flat array of pin nets, and its clock net.
-/// Net and instance names live end to end in two string arenas.
+/// Net and instance names live end to end in two string arenas. The
+/// connectivity index is built on first use and kept until a net, an
+/// instance or a macro is added.
 #[derive(Debug, Clone, Default)]
 pub struct Design {
     /// Design name.
@@ -102,6 +105,8 @@ pub struct Design {
     pub primary_outputs: Vec<NetId>,
     /// The clock net, if the design is sequential.
     pub clock: Option<NetId>,
+    /// [`Design::connectivity`], once built.
+    conn: OnceLock<Connectivity>,
 }
 
 impl Design {
@@ -116,6 +121,7 @@ impl Design {
 
     /// Register a new net and return its id.
     pub fn add_net(&mut self, name: impl fmt::Display) -> NetId {
+        self.conn.take();
         self.net_names.push(format_args!("{name}"))
     }
 
@@ -165,6 +171,7 @@ impl Design {
         nets: impl IntoIterator<Item = NetId>,
         clock: Option<NetId>,
     ) {
+        self.conn.take();
         self.instance_names.push(name);
         self.instances.push(Inst {
             cell_type,
@@ -177,6 +184,7 @@ impl Design {
 
     /// Add a macro instance.
     pub fn add_macro(&mut self, m: MacroInstance) {
+        self.conn.take();
         self.macros.push(m);
     }
 
@@ -190,6 +198,23 @@ impl Design {
     #[must_use]
     pub fn instance_name(&self, i: usize) -> &str {
         self.instance_names.get(i)
+    }
+
+    /// Cell instance `i` as indices only, for passes over the whole
+    /// netlist: it reads no name, which [`Design::instances`] does.
+    #[inline]
+    #[must_use]
+    pub fn instance_ids(&self, i: usize) -> InstanceIds<'_> {
+        let inst = self.instances[i];
+        let n_in = self.cell_types[inst.cell_type as usize].inputs.len();
+        let n_out = self.cell_types[inst.cell_type as usize].outputs.len();
+        let (inputs, outputs) = self.pins[inst.pins as usize..][..n_in + n_out].split_at(n_in);
+        InstanceIds {
+            cell_type: inst.cell_type as usize,
+            region: inst.region as usize,
+            inputs,
+            outputs,
+        }
     }
 
     /// The distinct cell types the instances use, in first-use order.
@@ -223,19 +248,24 @@ impl Design {
         0.06e-15 + 0.11e-15 * fanout as f64
     }
 
-    /// Build the net → drivers and net → loads index.
+    /// The net → drivers and net → loads index, built on the first call
+    /// and kept until the design changes.
     ///
     /// Each net lists its loads in a fixed order: cell instances ascending,
     /// each with its inputs in pin order and then its clock, then macros
     /// ascending, each with its inputs and then its clock. Drivers follow
     /// the same instance-then-macro order.
     #[must_use]
-    pub fn connectivity(&self) -> Connectivity {
+    pub fn connectivity(&self) -> &Connectivity {
+        self.conn.get_or_init(|| self.build_connectivity())
+    }
+
+    fn build_connectivity(&self) -> Connectivity {
         let n = self.net_count();
         let (load_start, loads) = csr(n, PinRef::Macro { index: 0 }, |emit| {
-            for (i, inst) in self.instances().iter().enumerate() {
+            for (i, inst) in self.instances.iter().enumerate() {
                 let instance = u32_id(i);
-                let ins = inst.input_nets();
+                let ins = self.instance_ids(i).inputs;
                 for (k, &net) in ins.iter().enumerate() {
                     emit(
                         net as usize,
@@ -245,9 +275,9 @@ impl Design {
                         },
                     );
                 }
-                if let Some(clk) = inst.clock {
+                if inst.clock != NO_CLOCK {
                     emit(
-                        clk,
+                        inst.clock as usize,
                         PinRef::Cell {
                             instance,
                             pin: ins.len() as u8,
@@ -263,8 +293,8 @@ impl Design {
             }
         });
         let (driver_start, drivers) = csr(n, PinRef::Macro { index: 0 }, |emit| {
-            for (i, inst) in self.instances().iter().enumerate() {
-                for (k, &net) in inst.output_nets().iter().enumerate() {
+            for i in 0..self.instances.len() {
+                for (k, &net) in self.instance_ids(i).outputs.iter().enumerate() {
                     emit(
                         net as usize,
                         PinRef::Cell {
@@ -296,12 +326,8 @@ impl Design {
     /// asked once per type for each input and `CLK`; every macro pin
     /// presents `macro_cap`.
     #[must_use]
-    pub fn net_loads(
-        &self,
-        conn: &Connectivity,
-        macro_cap: f64,
-        pin_cap: impl Fn(usize, &str) -> f64,
-    ) -> Vec<f64> {
+    pub fn net_loads(&self, macro_cap: f64, pin_cap: impl Fn(usize, &str) -> f64) -> Vec<f64> {
+        let conn = self.connectivity();
         let caps: Vec<Vec<f64>> = self
             .cell_types
             .iter()
@@ -331,8 +357,8 @@ impl Design {
     /// are left out. Instances on or behind a combinational loop are left
     /// out too.
     #[must_use]
-    pub fn comb_order(&self, conn: &Connectivity, seq: &[bool]) -> Vec<u32> {
-        let (insts, n) = (self.instances(), self.cell_count());
+    pub fn comb_order(&self, seq: &[bool]) -> Vec<u32> {
+        let (conn, n) = (self.connectivity(), self.cell_count());
         let comb = |i: usize| !seq[self.instances[i].cell_type as usize];
         // The first combinational driver of each net.
         let driver: Vec<u32> = (0..self.net_count())
@@ -348,12 +374,9 @@ impl Design {
             .collect();
         let driver = &driver;
         let comb_inputs = move |i: usize| {
-            let srcs = insts
-                .get(i)
-                .input_nets()
-                .iter()
-                .map(move |&net| driver[net as usize]);
-            srcs.filter(|&d| d != u32::MAX)
+            let srcs = self.instance_ids(i).inputs.iter();
+            srcs.map(move |&net| driver[net as usize])
+                .filter(|&d| d != u32::MAX)
         };
         let mut indegree: Vec<u32> = (0..n)
             .map(|i| {
@@ -389,11 +412,19 @@ impl Design {
 
     /// The first instance, in instance order, whose cell type `pick`
     /// selects: the instance an unmapped-cell error names. `pick(t)` is
-    /// asked once per cell type `t`.
+    /// asked once per cell type `t`, and the instances are scanned only if
+    /// it selects one.
     #[must_use]
     pub fn first_instance_of(&self, pick: impl Fn(usize) -> bool) -> Option<InstanceRef<'_>> {
         let picked: Vec<bool> = (0..self.cell_types.len()).map(pick).collect();
-        self.instances().iter().find(|i| picked[i.cell_type])
+        if !picked.contains(&true) {
+            return None;
+        }
+        let i = self
+            .instances
+            .iter()
+            .position(|inst| picked[inst.cell_type as usize])?;
+        Some(self.instances().get(i))
     }
 
     /// Check every instance maps to a library cell, every internal net has
@@ -492,6 +523,19 @@ impl<'a> Instances<'a> {
     }
 }
 
+/// A cell instance as indices, from [`Design::instance_ids`].
+#[derive(Debug, Clone, Copy)]
+pub struct InstanceIds<'a> {
+    /// Index into [`Design::cell_types`].
+    pub cell_type: usize,
+    /// Index into [`Design::regions`].
+    pub region: usize,
+    /// Input nets, in pin order.
+    pub inputs: &'a [u32],
+    /// Output nets, in pin order.
+    pub outputs: &'a [u32],
+}
+
 /// A standard-cell instance, borrowed from its [`Design`].
 #[derive(Debug, Clone, Copy)]
 pub struct InstanceRef<'a> {
@@ -583,7 +627,7 @@ impl Connectivity {
 
 #[cfg(test)]
 mod tests {
-    use crate::DesignBuilder;
+    use crate::{DesignBuilder, SramMacro};
 
     use super::*;
 
@@ -623,6 +667,51 @@ mod tests {
             }]
         );
         assert!(c.loads(y).is_empty());
+    }
+
+    #[test]
+    fn connectivity_is_rebuilt_after_every_mutation() {
+        let cell = |instance| PinRef::Cell { instance, pin: 0 };
+        let mut b = DesignBuilder::new("grow");
+        let (a, y) = (b.input("a"), b.net("y"));
+        let _ = b.inv(a, 1);
+        assert_eq!(b.design().connectivity().loads(a), [cell(0)]);
+        // A gate between existing nets: no net is added with it.
+        b.alias_with_buffer(a, y);
+        assert_eq!(b.design().connectivity().loads(a), [cell(0), cell(1)]);
+        assert_eq!(b.design().connectivity().drivers(y), [cell(1)]);
+        // A macro that loads it too.
+        let clk = b.clock_input("clk");
+        assert!(b.design().connectivity().loads(clk).is_empty());
+        b.add_macro_instance(MacroInstance {
+            name: "rf".into(),
+            spec: SramMacro::regfile("rf", 1.0),
+            clock: clk,
+            inputs: vec![a],
+            outputs: vec![],
+            region: "core".into(),
+        });
+        let conn = b.design().connectivity();
+        assert_eq!(
+            conn.loads(a),
+            [cell(0), cell(1), PinRef::Macro { index: 0 }]
+        );
+        assert_eq!(conn.loads(clk), [PinRef::Macro { index: 0 }]);
+        // A net added after the index was built.
+        let mut d = b.finish();
+        let late = d.add_net("late");
+        assert!(d.connectivity().loads(late).is_empty());
+        assert!(d.connectivity().drivers(late).is_empty());
+    }
+
+    #[test]
+    fn instance_ids_match_instance_refs() {
+        let d = tiny_design();
+        let (ids, inst) = (d.instance_ids(0), d.instances().get(0));
+        assert_eq!(ids.cell_type, inst.cell_type);
+        assert_eq!(ids.region, inst.region_id);
+        assert_eq!(ids.inputs, inst.input_nets());
+        assert_eq!(ids.outputs, inst.output_nets());
     }
 
     #[test]

@@ -28,7 +28,9 @@ pub mod sram;
 pub mod verilog;
 
 pub use builder::DesignBuilder;
-pub use design::{CellType, Connectivity, Design, InstanceRef, MacroInstance, NetId, PinRef};
+pub use design::{
+    CellType, Connectivity, Design, InstanceIds, InstanceRef, MacroInstance, NetId, PinRef,
+};
 pub use soc::{build_soc, SocConfig};
 pub use sram::SramMacro;
 pub use verilog::write_verilog;

@@ -65,7 +65,6 @@ pub fn simulate_toggles(
             });
         }
     }
-    let conn = design.connectivity();
     let insts = design.instances();
     let cell_types = design.cell_types();
     let cells = crate::bind_cells(design, lib)?;
@@ -92,7 +91,7 @@ pub fn simulate_toggles(
 
     // Topological order of combinational instances (registers break cycles).
     let seq: Vec<bool> = ff.iter().map(Option::is_some).collect();
-    let order = design.comb_order(&conn, &seq);
+    let order = design.comb_order(&seq);
 
     let mut values = vec![false; n_nets];
     let mut ff_state = vec![false; design.cell_count()];

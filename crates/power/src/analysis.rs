@@ -100,30 +100,31 @@ pub fn analyze_power(
     profile: &ActivityProfile,
     measured: Option<&ToggleCounts>,
 ) -> Result<PowerReport> {
-    let conn = design.connectivity();
-    let insts = design.instances();
     let cell_types = design.cell_types();
     let cells = crate::bind_cells(design, lib)?;
     // Net loads (same model as STA).
-    let net_load = design.net_loads(&conn, 2.0e-15, |t, pin| {
+    let net_load = design.net_loads(2.0e-15, |t, pin| {
         cells[t].pin(pin).map_or(0.0, |p| p.capacitance)
     });
 
     // Per cell type: leakage, each output's power arcs, and a sequential
     // cell's clk→Q internal energy.
     let leakage: Vec<f64> = cells.iter().map(|c| c.average_leakage()).collect();
-    let out_arcs: Vec<Vec<Vec<&PowerArc>>> = cell_types
+    let out_arcs: Vec<Vec<EnergyArcs>> = cell_types
         .iter()
         .zip(&cells)
         .map(|(ty, cell)| {
-            let arcs = |pin: &String| cell.power_arcs.iter().filter(|p| p.pin == *pin).collect();
+            let arcs = |pin: &String| {
+                EnergyArcs::new(cell.power_arcs.iter().filter(|p| p.pin == *pin).collect())
+            };
             ty.outputs.iter().map(arcs).collect()
         })
         .collect();
     let clock_energy: Vec<Option<f64>> = cells
         .iter()
         .map(|c| {
-            let e_clkq = || mean_energy(c.power_arcs.iter(), cfg.typical_slew, 1e-15);
+            let e_clkq =
+                || EnergyArcs::new(c.power_arcs.iter().collect()).mean(cfg.typical_slew, 1e-15);
             c.is_sequential().then(e_clkq)
         })
         .collect();
@@ -134,24 +135,25 @@ pub fn analyze_power(
     let mut dynamic = 0.0;
     let mut logic_leak = 0.0;
     let mut region_dynamic: Vec<Option<f64>> = vec![None; region_alpha.len()];
-    for inst in insts.iter() {
+    for i in 0..design.cell_count() {
         // Per-instance injection context: the fault schedule is a function
         // of the instance, so serial and parallel callers see the same
         // poisoned contribution (aggregation itself is serial).
         if fault_active {
-            fault::set_context(&format!("power:{}", inst.name));
+            fault::set_context(&format!("power:{}", design.instance_name(i)));
         }
+        let inst = design.instance_ids(i);
         let t = inst.cell_type;
         logic_leak += leakage[t];
 
         let mut inst_dyn = 0.0;
-        for (&net, arcs) in inst.output_nets().iter().zip(&out_arcs[t]) {
+        for (&net, arcs) in inst.outputs.iter().zip(&out_arcs[t]) {
             let net = net as usize;
             let load = net_load[net];
             // Activity: measured toggles if available, else region profile.
-            let alpha = measured.map_or(region_alpha[inst.region_id], |m| m.activity(net));
+            let alpha = measured.map_or(region_alpha[inst.region], |m| m.activity(net));
             // Internal energy: mean power arc at the lookup point.
-            let e_int = mean_energy(arcs.iter().copied(), cfg.typical_slew, load);
+            let e_int = arcs.mean(cfg.typical_slew, load);
             // Load energy: half CV² per transition on average.
             let e_load = 0.5 * load * cfg.vdd * cfg.vdd;
             inst_dyn += alpha * cfg.frequency * (e_int + e_load);
@@ -161,7 +163,7 @@ pub fn analyze_power(
         // synthesis flow inserts on idle banks (20 % of the tree is assumed
         // ungatable).
         if let Some(e_clkq) = clock_energy[t] {
-            let alpha = mean_activity.unwrap_or(region_alpha[inst.region_id]);
+            let alpha = mean_activity.unwrap_or(region_alpha[inst.region]);
             let gating = 0.2 + 0.8 * (alpha * 4.0).min(1.0);
             inst_dyn += cfg.dff_clock_energy_factor * e_clkq * cfg.frequency * gating;
         }
@@ -175,11 +177,11 @@ pub fn analyze_power(
                 fault::set_context("");
             }
             return Err(PowerError::NonFiniteAccumulation {
-                instance: inst.name.to_string(),
+                instance: design.instance_name(i).to_string(),
             });
         }
         dynamic += inst_dyn;
-        *region_dynamic[inst.region_id].get_or_insert(0.0) += inst_dyn;
+        *region_dynamic[inst.region].get_or_insert(0.0) += inst_dyn;
     }
     if fault_active {
         fault::set_context("");
@@ -217,10 +219,38 @@ pub fn analyze_power(
     })
 }
 
-/// Mean internal energy of `arcs` at a lookup point (zero for none).
-fn mean_energy<'a>(arcs: impl ExactSizeIterator<Item = &'a PowerArc>, slew: f64, load: f64) -> f64 {
-    let n = arcs.len().max(1) as f64;
-    arcs.map(|p| p.average_energy(slew, load)).sum::<f64>() / n
+/// Power arcs whose energies are averaged together, and whether all their
+/// tables share axes, so that one `Lut2::locate` serves them all.
+struct EnergyArcs<'a> {
+    arcs: Vec<&'a PowerArc>,
+    shared_axes: bool,
+}
+
+impl<'a> EnergyArcs<'a> {
+    fn new(arcs: Vec<&'a PowerArc>) -> Self {
+        let shared_axes = arcs.first().is_some_and(|first| {
+            let axes = &first.rise_energy;
+            let mut tables = arcs.iter().flat_map(|p| [&p.rise_energy, &p.fall_energy]);
+            tables.all(|t| t.same_axes(axes))
+        });
+        Self { arcs, shared_axes }
+    }
+
+    /// Mean internal energy at a lookup point (zero for no arcs): each
+    /// arc's [`PowerArc::average_energy`], summed in arc order.
+    fn mean(&self, slew: f64, load: f64) -> f64 {
+        let n = self.arcs.len().max(1) as f64;
+        let sum: f64 = if self.shared_axes {
+            let at = self.arcs[0].rise_energy.locate(slew, load);
+            let average = |p: &&PowerArc| {
+                0.5 * (p.rise_energy.interpolate(at) + p.fall_energy.interpolate(at))
+            };
+            self.arcs.iter().map(average).sum()
+        } else {
+            self.arcs.iter().map(|p| p.average_energy(slew, load)).sum()
+        };
+        sum / n
+    }
 }
 
 #[cfg(test)]
@@ -354,6 +384,55 @@ mod tests {
         let p_busy = analyze_power(&d, &lib, &cfg, &profile, Some(&t_busy)).unwrap();
         let p_idle = analyze_power(&d, &lib, &cfg, &profile, Some(&t_idle)).unwrap();
         assert!(p_busy.dynamic_w > 10.0 * p_idle.dynamic_w.max(1e-12));
+    }
+
+    #[test]
+    fn power_arcs_on_other_grids_sum_like_per_arc_lookups() {
+        // NAND2x1 with slew- and load-dependent energies on two grids, and
+        // a 1×1 constant beside them.
+        let mut lib = synth_lib();
+        let mut nand = lib.cell("NAND2x1").unwrap().clone();
+        let grid = |s: [f64; 2], l: [f64; 2], v: [f64; 4]| {
+            Lut2::new(s.to_vec(), l.to_vec(), v.to_vec()).unwrap()
+        };
+        let (slews, loads) = ([1e-12, 100e-12], [0.0, 10e-15]);
+        nand.power_arcs = vec![
+            PowerArc {
+                related_pin: "A".into(),
+                pin: "Y".into(),
+                rise_energy: grid(slews, loads, [1e-15, 2e-15, 3e-15, 5e-15]),
+                fall_energy: grid(slews, loads, [2e-15, 3e-15, 4e-15, 7e-15]),
+            },
+            PowerArc {
+                related_pin: "B".into(),
+                pin: "Y".into(),
+                rise_energy: grid(
+                    [5e-12, 50e-12],
+                    [1e-16, 4e-15],
+                    [1e-15, 4e-15, 6e-15, 9e-15],
+                ),
+                fall_energy: Lut2::constant(2.5e-15),
+            },
+        ];
+        lib.add_cell(nand);
+        let arcs = &lib.cell("NAND2x1").unwrap().power_arcs;
+        assert!(!EnergyArcs::new(arcs.iter().collect()).shared_axes);
+        assert!(EnergyArcs::new(arcs[..1].iter().collect()).shared_axes);
+
+        let mut b = DesignBuilder::new("grids");
+        let (x, y) = (b.input("a"), b.input("b"));
+        let z = b.nand2(x, y, 1);
+        b.mark_output(z);
+        let d = b.finish();
+        let cfg = PowerConfig::at(&ModelCard::nominal(Polarity::N), 300.0, 1e9);
+        let report =
+            analyze_power(&d, &lib, &cfg, &ActivityProfile::with_default(0.1), None).unwrap();
+
+        let load = d.net_loads(2.0e-15, |_, _| 1e-15)[z];
+        let energy = |p: &PowerArc| p.average_energy(cfg.typical_slew, load);
+        let e_int = (energy(&arcs[0]) + energy(&arcs[1])) / 2.0;
+        let e_load = 0.5 * load * cfg.vdd * cfg.vdd;
+        assert_eq!(report.dynamic_w, 0.1 * cfg.frequency * (e_int + e_load));
     }
 
     #[test]

@@ -10,6 +10,7 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 
+use crate::cpu::MEM_SIZE;
 use crate::isa::{self, AluOp, BranchCond, FpCmp, FpOp, FpWidth, Inst, MemWidth};
 use crate::{Result, RiscvError};
 
@@ -290,11 +291,12 @@ pub fn assemble(source: &str) -> Result<Program> {
         Text,
         Data,
     }
-    let items = || source.lines().flat_map(tokenize_line);
 
     // Pass 1: the text size, which places the data segment (after text,
     // 64-byte aligned).
-    let text_words: usize = items()
+    let text_words: usize = source
+        .lines()
+        .flat_map(tokenize_line)
         .map(|item| match item {
             Line::Inst { mnemonic, args } => expansion_len(&mnemonic, args),
             _ => 0,
@@ -302,38 +304,55 @@ pub fn assemble(source: &str) -> Result<Program> {
         .sum();
     let data_base = (TEXT_BASE + 4 * text_words as u64 + 63) & !63;
 
-    // Pass 2: label addresses.
+    // Pass 2: label addresses. Data directives are sized with checked
+    // arithmetic, and the data segment must end inside the ISS memory, so
+    // the emit pass pads and fills no further than that.
     let mut labels: HashMap<String, u64> = HashMap::new();
     {
         let mut section = Section::Text;
         let mut tpc = TEXT_BASE;
         let mut dpc = data_base;
-        for item in items() {
-            match item {
-                Line::Label(name) => {
-                    let addr = if section == Section::Text { tpc } else { dpc };
-                    labels.insert(name.to_string(), addr);
-                }
-                Line::Directive { name, mut args } => match name {
-                    "text" => section = Section::Text,
-                    "data" => section = Section::Data,
-                    "dword" => dpc += 8 * args.count() as u64,
-                    "word" => dpc += 4 * args.count() as u64,
-                    "byte" => dpc += args.count() as u64,
-                    "zero" => {
-                        dpc += args.next().and_then(|a| a.parse::<u64>().ok()).unwrap_or(0);
+        for (lineno, raw) in source.lines().enumerate() {
+            for item in tokenize_line(raw) {
+                match item {
+                    Line::Label(name) => {
+                        let addr = if section == Section::Text { tpc } else { dpc };
+                        labels.insert(name.to_string(), addr);
                     }
-                    "align" => {
-                        let a = args.next().and_then(|s| s.parse::<u32>().ok()).unwrap_or(3);
-                        let m = 1u64 << a;
-                        if section == Section::Data {
-                            dpc = (dpc + m - 1) & !(m - 1);
+                    Line::Directive { name, mut args } => match name {
+                        "text" => section = Section::Text,
+                        "data" => section = Section::Data,
+                        "dword" | "word" | "byte" | "zero" | "align" => {
+                            let end = match name {
+                                "dword" => dpc.checked_add(8 * args.count() as u64),
+                                "word" => dpc.checked_add(4 * args.count() as u64),
+                                "byte" => dpc.checked_add(args.count() as u64),
+                                "zero" => dpc.checked_add(
+                                    args.next().and_then(|a| a.parse::<u64>().ok()).unwrap_or(0),
+                                ),
+                                // `.align` pads only the data section.
+                                _ if section == Section::Text => Some(dpc),
+                                _ => {
+                                    let a = args.next().and_then(|s| s.parse::<u32>().ok());
+                                    let m = 1u64.checked_shl(a.unwrap_or(3));
+                                    m.and_then(|m| dpc.checked_next_multiple_of(m))
+                                }
+                            };
+                            dpc = end.filter(|&end| end <= MEM_SIZE as u64).ok_or_else(|| {
+                                RiscvError::Asm {
+                                    line: lineno + 1,
+                                    reason: format!(
+                                        ".{name} places data past the {} MiB memory",
+                                        MEM_SIZE >> 20
+                                    ),
+                                }
+                            })?;
                         }
+                        _ => {}
+                    },
+                    Line::Inst { mnemonic, args } => {
+                        tpc += 4 * expansion_len(&mnemonic, args) as u64;
                     }
-                    _ => {}
-                },
-                Line::Inst { mnemonic, args } => {
-                    tpc += 4 * expansion_len(&mnemonic, args) as u64;
                 }
             }
         }
@@ -894,6 +913,38 @@ mod tests {
             Err(RiscvError::Asm { line, .. }) => line,
             other => panic!("{src:?} must fail to assemble, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn align_of_64_bits_is_an_error() {
+        assert_eq!(asm_error_line(".data\n.align 64\nx: .byte 1"), 2);
+    }
+
+    #[test]
+    fn zero_of_u64_max_is_an_error() {
+        let src = ".data\nx: .zero 18446744073709551615\ny: .byte 1";
+        assert_eq!(asm_error_line(src), 2);
+    }
+
+    #[test]
+    fn data_may_end_at_the_top_of_memory_not_past_it() {
+        let base = assemble(".data\nx: .byte 1").unwrap().data_base;
+        let room = MEM_SIZE as u64 - base;
+        let full = assemble(&format!(".data\nx: .zero {room}")).unwrap();
+        assert_eq!(full.data.len() as u64, room);
+        let past = assemble(&format!(".data\nx: .zero {}", room + 1));
+        assert!(
+            matches!(past, Err(RiscvError::Asm { line: 2, .. })),
+            "{:?}",
+            past.map(|p| p.data.len())
+        );
+    }
+
+    #[test]
+    fn align_pads_data_to_its_boundary() {
+        let p = assemble(".data\nx: .byte 1\n.align 3\ny: .byte 2").unwrap();
+        assert_eq!(p.data, [1, 0, 0, 0, 0, 0, 0, 0, 2]);
+        assert_eq!(p.label("y"), Some(p.data_base + 8));
     }
 
     #[test]

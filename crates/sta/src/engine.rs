@@ -139,14 +139,56 @@ struct Capture {
     hold: f64,
 }
 
+/// A library arc bound to a cell type.
+#[derive(Clone, Copy)]
+struct BoundArc<'a> {
+    arc: &'a TimingArc,
+    /// The related pin's input index.
+    related: Option<usize>,
+    /// Whether the four nominal tables share axes, so that one
+    /// `Lut2::locate` serves all four.
+    shared_axes: bool,
+}
+
+impl<'a> BoundArc<'a> {
+    fn new(arc: &'a TimingArc, related: Option<usize>) -> Self {
+        let tables = [&arc.cell_fall, &arc.rise_transition, &arc.fall_transition];
+        Self {
+            arc,
+            related,
+            shared_axes: tables.iter().all(|t| t.same_axes(&arc.cell_rise)),
+        }
+    }
+
+    /// The arc at `(slew, load)`: its worst delay
+    /// ([`TimingArc::worst_delay`]), its faster edge (the hold side) and
+    /// its output slew ([`worst_transition`]), from one value of each
+    /// nominal table.
+    fn eval(&self, slew: f64, load: f64) -> (f64, f64, f64) {
+        let a = self.arc;
+        let tables = [
+            &a.cell_rise,
+            &a.cell_fall,
+            &a.rise_transition,
+            &a.fall_transition,
+        ];
+        let [rise, fall, rise_tr, fall_tr] = if self.shared_axes {
+            let at = a.cell_rise.locate(slew, load);
+            tables.map(|t| t.interpolate(at))
+        } else {
+            tables.map(|t| t.lookup(slew, load))
+        };
+        (rise.max(fall), rise.min(fall), rise_tr.max(fall_tr))
+    }
+}
+
 /// One cell type bound to the library, once for all its instances.
 struct TypeTiming<'a> {
     eff: EffCell<'a>,
     /// Whether instances launch paths rather than propagate them.
     seq: bool,
-    /// Per output pin: the library's arcs to it in library order, each
-    /// with its related pin's input index.
-    arcs: Vec<Vec<(&'a TimingArc, Option<usize>)>>,
+    /// Per output pin: the library's arcs to it in library order.
+    arcs: Vec<Vec<BoundArc<'a>>>,
     capture: Option<Capture>,
 }
 
@@ -157,7 +199,7 @@ impl<'a> TypeTiming<'a> {
             Ok(cell) => {
                 let arcs = ty.outputs.iter().map(|pin| {
                     cell.arcs_to(pin)
-                        .map(|arc| (arc, input(&arc.related_pin)))
+                        .map(|arc| BoundArc::new(arc, input(&arc.related_pin)))
                         .collect()
                 });
                 (EffCell::Real(cell), arcs.collect(), cell.is_sequential())
@@ -288,17 +330,15 @@ impl<'a> Degrader<'a> {
 
     /// Produce a stand-in `(delay, output_slew)` for an arc that could not
     /// be timed, and record its provenance. Must not be called under the
-    /// `Fail` policy (callers error out first).
+    /// `Fail` policy (callers error out first). Callers count it as an arc
+    /// evaluation.
     fn stand_in(
         &mut self,
-        instance: &str,
-        cell: &str,
-        pin: &str,
+        (instance, cell, pin): (&str, &str, &str),
         cause: DegradeCause,
         slew: f64,
         load: f64,
     ) -> (f64, f64) {
-        work::bump(|w| w.arc_evals += 1);
         let borrowed = match self.policy {
             MissingArcPolicy::Fail => unreachable!("Fail is handled before degradation"),
             MissingArcPolicy::BorrowSibling { margin } => {
@@ -357,10 +397,33 @@ impl<'a> Degrader<'a> {
 ///   (under the `Fail` policy).
 /// - [`StaError::CombinationalLoop`] if registers do not break all cycles.
 /// - [`StaError::NoEndpoints`] for designs with nothing to time.
-#[allow(clippy::too_many_lines)]
 pub fn analyze(design: &Design, lib: &Library, cfg: &StaConfig) -> Result<TimingReport> {
-    let conn = design.connectivity();
-    let insts = design.instances();
+    // Arc evaluations are counted here and reach the work ledger once per
+    // analysis, on every return.
+    let mut arc_evals = 0;
+    let report = analyze_counting(design, lib, cfg, &mut arc_evals);
+    work::bump(|w| w.arc_evals += arc_evals);
+    report
+}
+
+#[allow(clippy::too_many_lines)]
+fn analyze_counting(
+    design: &Design,
+    lib: &Library,
+    cfg: &StaConfig,
+    arc_evals: &mut u64,
+) -> Result<TimingReport> {
+    let cell_types = design.cell_types();
+    // Instance, cell and output pin names: only fault contexts, errors and
+    // degraded-arc records read them.
+    let out_pin = |i: usize, k: usize| {
+        let ty = &cell_types[design.instance_ids(i).cell_type];
+        (
+            design.instance_name(i),
+            ty.name.as_str(),
+            ty.outputs[k].as_str(),
+        )
+    };
     let fail_policy = cfg.missing_arc_policy == MissingArcPolicy::Fail;
     let fault_active = fault::is_active();
     let mut degrader = Degrader {
@@ -372,8 +435,7 @@ pub fn analyze(design: &Design, lib: &Library, cfg: &StaConfig) -> Result<Timing
     // ------------------------------------------------------------------
     // Bind each cell type to the library.
     // ------------------------------------------------------------------
-    let types: Vec<TypeTiming> = design
-        .cell_types()
+    let types: Vec<TypeTiming> = cell_types
         .iter()
         .map(|t| TypeTiming::bind(t, lib, cfg))
         .collect();
@@ -398,7 +460,7 @@ pub fn analyze(design: &Design, lib: &Library, cfg: &StaConfig) -> Result<Timing
     // ------------------------------------------------------------------
     // Net loads: sum of sink pin caps + wire estimate.
     // ------------------------------------------------------------------
-    let net_load = design.net_loads(&conn, cfg.macro_input_cap, |t, pin| {
+    let net_load = design.net_loads(cfg.macro_input_cap, |t, pin| {
         let sibling_cap = |s: &Cell| s.pin(pin).map_or(max_input_cap, |p| p.capacitance);
         match types[t].eff {
             EffCell::Real(cell) => cell.pin(pin).map_or(0.0, |p| p.capacitance),
@@ -435,24 +497,29 @@ pub fn analyze(design: &Design, lib: &Library, cfg: &StaConfig) -> Result<Timing
     }
     // Sequential cell outputs launch at clk→Q. A missing cell takes its
     // classification from its sibling; an orphan counts as combinational.
-    for inst in insts.iter().filter(|i| types[i.cell_type].seq) {
+    for i in 0..design.cell_count() {
+        let inst = design.instance_ids(i);
         let ty = &types[inst.cell_type];
-        for (k, (pin, net)) in inst.outputs().enumerate() {
+        if !ty.seq {
+            continue;
+        }
+        for (k, &net) in inst.outputs.iter().enumerate() {
+            let net = net as usize;
             let load = net_load[net];
             if let EffCell::Missing { .. } = ty.eff {
                 let (cause, slew) = (DegradeCause::MissingCell, cfg.input_slew);
-                let (d, s) = degrader.stand_in(inst.name, inst.cell, pin, cause, slew, load);
+                *arc_evals += 1;
+                let (d, s) = degrader.stand_in(out_pin(i, k), cause, slew, load);
                 seed(&mut timing, net, d, s, 0.0, true);
                 continue;
             }
-            for &(arc, _) in ty.arcs[k]
+            for b in ty.arcs[k]
                 .iter()
-                .filter(|(a, _)| a.kind == ArcKind::ClockToQ)
+                .filter(|b| b.arc.kind == ArcKind::ClockToQ)
             {
-                work::bump(|w| w.arc_evals += 1);
-                let d = arc.worst_delay(cfg.input_slew, load);
-                let s = worst_transition(arc, cfg.input_slew, load);
-                let sig = arc.worst_sigma(cfg.input_slew, load);
+                *arc_evals += 1;
+                let (d, _, s) = b.eval(cfg.input_slew, load);
+                let sig = b.arc.worst_sigma(cfg.input_slew, load);
                 seed(&mut timing, net, d, s, sig, true);
             }
         }
@@ -469,17 +536,19 @@ pub fn analyze(design: &Design, lib: &Library, cfg: &StaConfig) -> Result<Timing
     // Levelize the combinational instances.
     // ------------------------------------------------------------------
     let seq: Vec<bool> = types.iter().map(|t| t.seq).collect();
-    let order = design.comb_order(&conn, &seq);
-    if order.len() != insts.iter().filter(|i| !seq[i.cell_type]).count() {
+    let order = design.comb_order(&seq);
+    let comb = |i: usize| !seq[design.instance_ids(i).cell_type];
+    let n_cells = design.cell_count();
+    if order.len() != (0..n_cells).filter(|&i| comb(i)).count() {
         // Name a net on the cycle: an input of the first instance left out.
-        let mut left_out: Vec<bool> = insts.iter().map(|i| !seq[i.cell_type]).collect();
+        let mut left_out: Vec<bool> = (0..n_cells).map(comb).collect();
         order.iter().for_each(|&i| left_out[i as usize] = false);
         let stuck = left_out
             .iter()
             .position(|&l| l)
             .expect("some instance is stuck");
         let net = design
-            .net_name(insts.get(stuck).input_nets()[0] as usize)
+            .net_name(design.instance_ids(stuck).inputs[0] as usize)
             .to_string();
         return Err(StaError::CombinationalLoop { net });
     }
@@ -501,9 +570,9 @@ pub fn analyze(design: &Design, lib: &Library, cfg: &StaConfig) -> Result<Timing
         ))
     };
     for &i in &order {
-        let inst = insts.get(i as usize);
+        let inst = design.instance_ids(i as usize);
         let ty = &types[inst.cell_type];
-        let ins = inst.input_nets();
+        let ins = inst.inputs;
         // Label the injection context per instance (prefixed so fault
         // scopes can target the whole STA stage with `scope=sta:` or one
         // instance). The propagation order is the deterministic levelized
@@ -511,9 +580,10 @@ pub fn analyze(design: &Design, lib: &Library, cfg: &StaConfig) -> Result<Timing
         // a pure function of (plan, design) — job counts upstream cannot
         // perturb it.
         if fault_active {
-            fault::set_context(&format!("sta:{}", inst.name));
+            fault::set_context(&format!("sta:{}", design.instance_name(i as usize)));
         }
-        for (k, (out_pin, out_net)) in inst.outputs().enumerate() {
+        for (k, &out_net) in inst.outputs.iter().enumerate() {
+            let out_net = out_net as usize;
             let load = net_load[out_net];
             // arrival, slew, from-net, path variance, sigma-arc count,
             // total-arc count — variance and counters ride the selected
@@ -521,12 +591,12 @@ pub fn analyze(design: &Design, lib: &Library, cfg: &StaConfig) -> Result<Timing
             let mut best: Option<(f64, f64, u32, f64, u32, u32)> = None;
             let mut min_arr = f64::INFINITY;
             let mut have_arc = false;
-            for &(arc, related) in &ty.arcs[k] {
-                if arc.kind != ArcKind::Combinational {
+            for b in &ty.arcs[k] {
+                if b.arc.kind != ArcKind::Combinational {
                     continue;
                 }
                 have_arc = true;
-                let Some(related) = related else {
+                let Some(related) = b.related else {
                     continue;
                 };
                 let in_net = ins[related];
@@ -537,21 +607,18 @@ pub fn analyze(design: &Design, lib: &Library, cfg: &StaConfig) -> Result<Timing
                 if fault_active && fault::should_fault_sta_lookup() {
                     // The lookup "failed": this arc's tables are
                     // unusable for this analysis.
+                    let names = out_pin(i as usize, k);
                     if fail_policy {
+                        let (instance, cell, pin) = names;
                         return Err(StaError::ArcLookupFault {
-                            instance: inst.name.to_string(),
-                            cell: inst.cell.clone(),
-                            pin: out_pin.to_string(),
+                            instance: instance.to_string(),
+                            cell: cell.to_string(),
+                            pin: pin.to_string(),
                         });
                     }
-                    let (delay, out_slew) = degrader.stand_in(
-                        inst.name,
-                        inst.cell,
-                        out_pin,
-                        DegradeCause::InjectedFault,
-                        tin.max_slew,
-                        load,
-                    );
+                    *arc_evals += 1;
+                    let (delay, out_slew) =
+                        degrader.stand_in(names, DegradeCause::InjectedFault, tin.max_slew, load);
                     let arr = tin.max_arrival + delay;
                     if best.is_none_or(|(a, ..)| arr > a) {
                         // A stand-in has no LVF data: zero variance
@@ -563,18 +630,13 @@ pub fn analyze(design: &Design, lib: &Library, cfg: &StaConfig) -> Result<Timing
                     min_arr = min_arr.min(tin.min_arrival);
                     continue;
                 }
-                work::bump(|w| w.arc_evals += 1);
-                let delay = arc.worst_delay(tin.max_slew, load);
-                let out_slew = worst_transition(arc, tin.max_slew, load);
+                *arc_evals += 1;
+                let (delay, dmin, out_slew) = b.eval(tin.max_slew, load);
                 let arr = tin.max_arrival + delay;
                 if best.is_none_or(|(a, ..)| arr > a) {
-                    let sigma = arc.worst_sigma(tin.max_slew, load);
+                    let sigma = b.arc.worst_sigma(tin.max_slew, load);
                     best = via(tin, in_net, arr, out_slew, sigma);
                 }
-                let dmin = arc
-                    .cell_rise
-                    .lookup(tin.max_slew, load)
-                    .min(arc.cell_fall.lookup(tin.max_slew, load));
                 min_arr = min_arr.min(tin.min_arrival + dmin);
             }
             // Degraded resolution: the cell is missing entirely, or it has
@@ -596,8 +658,9 @@ pub fn analyze(design: &Design, lib: &Library, cfg: &StaConfig) -> Result<Timing
                         });
                 if let Some(&in_net) = worst_in {
                     let tin = timing[in_net as usize];
+                    *arc_evals += 1;
                     let (delay, out_slew) =
-                        degrader.stand_in(inst.name, inst.cell, out_pin, cause, tin.max_slew, load);
+                        degrader.stand_in(out_pin(i as usize, k), cause, tin.max_slew, load);
                     best = via(tin, in_net, tin.max_arrival + delay, out_slew, 0.0);
                     min_arr = tin.min_arrival;
                 }
@@ -624,31 +687,47 @@ pub fn analyze(design: &Design, lib: &Library, cfg: &StaConfig) -> Result<Timing
     // ------------------------------------------------------------------
     // Endpoints: setup and hold.
     // ------------------------------------------------------------------
+    /// What an endpoint is, kept as an index and named only when a report
+    /// prints it.
+    enum EndpointPin {
+        /// A flip-flop's `D`: instance index.
+        Capture(usize),
+        /// A macro input: macro index.
+        Macro(usize),
+        /// A primary output.
+        Output,
+    }
     struct Endpoint {
-        name: String,
+        pin: EndpointPin,
         net: usize,
         setup: f64,
         setup_sigma: f64,
         hold: f64,
     }
+    let endpoint_name = |ep: &Endpoint| match ep.pin {
+        EndpointPin::Capture(i) => format!("{}/D", design.instance_name(i)),
+        EndpointPin::Macro(m) => format!("{}/in", design.macros()[m].name),
+        EndpointPin::Output => format!("PO {}", design.net_name(ep.net)),
+    };
     let mut endpoints: Vec<Endpoint> = Vec::new();
-    for inst in insts.iter() {
+    for i in 0..n_cells {
+        let inst = design.instance_ids(i);
         if let Some(c) = &types[inst.cell_type].capture {
             endpoints.push(Endpoint {
-                name: format!("{}/D", inst.name),
-                net: inst.input_nets()[c.pin] as usize,
+                pin: EndpointPin::Capture(i),
+                net: inst.inputs[c.pin] as usize,
                 setup: c.setup,
                 setup_sigma: c.setup_sigma,
                 hold: c.hold,
             });
         }
     }
-    for m in design.macros() {
-        for &net in &m.inputs {
+    for (m, mac) in design.macros().iter().enumerate() {
+        for &net in &mac.inputs {
             endpoints.push(Endpoint {
-                name: format!("{}/in", m.name),
+                pin: EndpointPin::Macro(m),
                 net,
-                setup: m.spec.setup * cfg.macro_delay_scale,
+                setup: mac.spec.setup * cfg.macro_delay_scale,
                 setup_sigma: 0.0,
                 hold: 0.0,
             });
@@ -656,7 +735,7 @@ pub fn analyze(design: &Design, lib: &Library, cfg: &StaConfig) -> Result<Timing
     }
     for &po in &design.primary_outputs {
         endpoints.push(Endpoint {
-            name: format!("PO {}", design.net_name(po)),
+            pin: EndpointPin::Output,
             net: po,
             setup: 0.0,
             setup_sigma: 0.0,
@@ -686,14 +765,14 @@ pub fn analyze(design: &Design, lib: &Library, cfg: &StaConfig) -> Result<Timing
             worst_hold = worst_hold.min(t.min_arrival - ep.hold);
         }
     }
-    let endpoint = worst_endpoint.map_or_else(String::new, |e| e.name.clone());
+    let endpoint = worst_endpoint.map_or_else(String::new, endpoint_name);
 
     // Backtrace a path ending at `net`.
     let backtrace = |end_net: usize| -> Vec<PathStep> {
         let mut path = Vec::new();
         let mut net = end_net;
         while let Some((inst_idx, from)) = timing[net].parent {
-            let inst = insts.get(inst_idx as usize);
+            let inst = design.instances().get(inst_idx as usize);
             let from = from as usize;
             let incr = timing[net].max_arrival - timing[from].max_arrival;
             path.push(PathStep {
@@ -723,7 +802,7 @@ pub fn analyze(design: &Design, lib: &Library, cfg: &StaConfig) -> Result<Timing
         .iter()
         .take(cfg.max_reported_paths)
         .map(|&(delay, idx)| EndpointSummary {
-            endpoint: endpoints[idx].name.clone(),
+            endpoint: endpoint_name(&endpoints[idx]),
             path_delay: delay,
             slack: cfg.clock_period - delay,
             depth: backtrace(endpoints[idx].net).len(),
@@ -768,7 +847,7 @@ pub fn analyze(design: &Design, lib: &Library, cfg: &StaConfig) -> Result<Timing
                 let sigma = ep_sigma(ep);
                 let t = timing[ep.net];
                 PathSigma {
-                    endpoint: ep.name.clone(),
+                    endpoint: endpoint_name(ep),
                     sigma,
                     slack_k_sigma: cfg.clock_period - (delay + k * sigma),
                     arcs_with_sigma: t.sigma_arcs as usize,
@@ -1321,6 +1400,56 @@ mod tests {
         // Same nominal timing either way: sigma rides along, it does not
         // perturb the mean analysis.
         assert_eq!(lo.critical_path_delay, hi.critical_path_delay);
+    }
+
+    #[test]
+    fn arcs_on_other_grids_time_like_per_table_lookups() {
+        // INVx1 with slew-dependent 2×2 delays, a 1×1 rise transition and
+        // a slower fall transition on another 2×2 grid.
+        let mut lib = synth_lib();
+        let mut inv = lib.cell("INVx1").unwrap().clone();
+        let grid = |v: [f64; 4]| Lut2::new(vec![1e-12, 100e-12], vec![0.0, 100e-15], v.to_vec());
+        let arc = &mut inv.arcs[0];
+        arc.cell_rise = grid([10e-12, 20e-12, 30e-12, 45e-12]).unwrap();
+        arc.cell_fall = grid([12e-12, 18e-12, 28e-12, 50e-12]).unwrap();
+        arc.rise_transition = Lut2::constant(6e-12);
+        arc.fall_transition = Lut2::new(
+            vec![5e-12, 60e-12],
+            vec![2e-15, 30e-15],
+            vec![14e-12, 19e-12, 27e-12, 45e-12],
+        )
+        .unwrap();
+        lib.add_cell(inv);
+        let arc = &lib.cell("INVx1").unwrap().arcs[0];
+        assert!(!BoundArc::new(arc, Some(0)).shared_axes);
+        assert!(BoundArc::new(&synth_lib().cell("INVx1").unwrap().arcs[0], Some(0)).shared_axes);
+
+        let mut b = DesignBuilder::new("grids");
+        let mut x = b.input("in");
+        for _ in 0..4 {
+            x = b.inv(x, 1);
+        }
+        b.mark_output(x);
+        let d = b.finish();
+        let cfg = StaConfig::default();
+        let report = analyze(&d, &lib, &cfg).unwrap();
+
+        // The same chain timed with one lookup per table.
+        let loads = d.net_loads(cfg.macro_input_cap, |_, _| 1e-15);
+        let (mut arrival, mut slew) = (0.0, cfg.input_slew);
+        let mut arrivals = Vec::new();
+        for i in 0..4 {
+            let load = loads[d.instance_ids(i).outputs[0] as usize];
+            arrival += arc.worst_delay(slew, load);
+            slew = worst_transition(arc, slew, load);
+            arrivals.push(arrival);
+        }
+        assert_eq!(report.critical_path_delay, arrival);
+        let steps: Vec<f64> = report.critical_path[1..]
+            .iter()
+            .map(|s| s.arrival)
+            .collect();
+        assert_eq!(steps, arrivals);
     }
 
     #[test]

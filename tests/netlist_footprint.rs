@@ -55,8 +55,11 @@ fn full_soc_netlist_is_compact() {
     let (calls0, live0) = count();
     let design = build_soc(&SocConfig::default());
     let (calls1, live1) = count();
-    let conn = design.connectivity();
+    let _ = design.connectivity();
     let (calls2, live2) = count();
+    // The index is kept in the design: asking again allocates nothing.
+    let _ = design.connectivity();
+    let (calls3, live3) = count();
 
     let n = design.cell_count() as f64;
     let build_calls = (calls1 - calls0) as f64 / n;
@@ -80,5 +83,9 @@ fn full_soc_netlist_is_compact() {
         conn_bytes <= 64.0,
         "connectivity: {conn_bytes:.1} live bytes per instance"
     );
-    drop(conn);
+    assert_eq!(
+        (calls3 - calls2, live3),
+        (0, live2),
+        "a second connectivity() call"
+    );
 }
