@@ -32,9 +32,7 @@ fn main() {
         let dev = FinFet::new(&nfet, temp, 1);
         let curve = IvCurve::sweep(&dev, 0.05, 0.75, 200);
         let vth = curve.vgs_at_current(1e-6).unwrap_or(f64::NAN);
-        let ss = curve
-            .subthreshold_swing(5e-11, 2e-7)
-            .unwrap_or(f64::NAN);
+        let ss = curve.subthreshold_swing(5e-11, 2e-7).unwrap_or(f64::NAN);
         println!(
             "{temp:>7.0} {:>9.2} ps {:>11.3}x {:>13.3e} W {:>9.3} V {:>7.1} mV/dec",
             stats.mean_delay * 1e12,

@@ -71,8 +71,26 @@ fn main() {
             cfg,
         );
         let hdc = steady(
-            &hdc_source_rounds(&items, &items_y, &centers_h, &meas, -1.0, 8.0, cfg.enable_cpop, 1),
-            &hdc_source_rounds(&items, &items_y, &centers_h, &meas, -1.0, 8.0, cfg.enable_cpop, 4),
+            &hdc_source_rounds(
+                &items,
+                &items_y,
+                &centers_h,
+                &meas,
+                -1.0,
+                8.0,
+                cfg.enable_cpop,
+                1,
+            ),
+            &hdc_source_rounds(
+                &items,
+                &items_y,
+                &centers_h,
+                &meas,
+                -1.0,
+                8.0,
+                cfg.enable_cpop,
+                4,
+            ),
             n,
             cfg,
         );

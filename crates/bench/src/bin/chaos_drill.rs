@@ -107,7 +107,10 @@ fn main() {
         summary.total_unsynced_lost,
     );
     if !failures.is_empty() {
-        eprintln!("{} drill(s) violated a durability invariant", failures.len());
+        eprintln!(
+            "{} drill(s) violated a durability invariant",
+            failures.len()
+        );
         std::process::exit(1);
     }
 }

@@ -62,12 +62,19 @@ fn stage_by_name(name: &str) -> Stage {
         .find(|s| s.name() == name)
         .unwrap_or_else(|| {
             let known: Vec<&str> = Stage::ALL.iter().map(|s| s.name()).collect();
-            die(&format!("unknown stage `{name}`; expected one of {known:?}"))
+            die(&format!(
+                "unknown stage `{name}`; expected one of {known:?}"
+            ))
         })
 }
 
 fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    Value::Object(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
 }
 
 fn serve_config(fast: bool, socket: PathBuf) -> ServeConfig {
@@ -78,7 +85,9 @@ fn serve_config(fast: bool, socket: PathBuf) -> ServeConfig {
     };
     let mut cfg = ServeConfig::new(socket, flow);
     if let Some(q) = arg_value("--queue") {
-        cfg.queue_depth = q.parse().unwrap_or_else(|_| die("--queue wants an integer"));
+        cfg.queue_depth = q
+            .parse()
+            .unwrap_or_else(|_| die("--queue wants an integer"));
     }
     if let Some(p) = arg_value("--pipelines") {
         cfg.max_pipelines = p
@@ -143,7 +152,12 @@ fn corner_request(spec: &str, deadline_ms: Option<f64>) -> Value {
 fn check_resumed_through(terminal: &Value, through: Stage) {
     let report = PipelineReport::from_value(terminal.get("artifact"))
         .unwrap_or_else(|e| die(&format!("done event has no pipeline artifact: {e}")));
-    let pos = |s: Stage| Stage::ALL.iter().position(|x| *x == s).unwrap_or(usize::MAX);
+    let pos = |s: Stage| {
+        Stage::ALL
+            .iter()
+            .position(|x| *x == s)
+            .unwrap_or(usize::MAX)
+    };
     for record in &report.stages {
         if pos(record.stage) > pos(through) {
             continue;
@@ -171,8 +185,10 @@ fn check_resumed_through(terminal: &Value, through: Stage) {
 }
 
 fn request() {
-    let deadline_ms = arg_value("--deadline-ms")
-        .map(|v| v.parse::<f64>().unwrap_or_else(|_| die("--deadline-ms wants a number")));
+    let deadline_ms = arg_value("--deadline-ms").map(|v| {
+        v.parse::<f64>()
+            .unwrap_or_else(|_| die("--deadline-ms wants a number"))
+    });
     let req = if let Some(spec) = arg_value("--corner") {
         corner_request(&spec, deadline_ms)
     } else if std::env::args().any(|a| a == "--signoff") {
@@ -190,8 +206,8 @@ fn request() {
     };
     let expect_resumed = arg_value("--expect-resumed-through").map(|n| stage_by_name(&n));
 
-    let mut client = Client::connect(&socket_path())
-        .unwrap_or_else(|e| die(&format!("cannot connect: {e}")));
+    let mut client =
+        Client::connect(&socket_path()).unwrap_or_else(|e| die(&format!("cannot connect: {e}")));
     client
         .send(&req)
         .unwrap_or_else(|e| die(&format!("cannot send request: {e}")));
@@ -199,7 +215,10 @@ fn request() {
         .wait_terminal()
         .unwrap_or_else(|e| die(&format!("connection lost: {e}")));
     for event in &interim {
-        eprintln!("{}", serde_json::to_string(event).expect("events serialize"));
+        eprintln!(
+            "{}",
+            serde_json::to_string(event).expect("events serialize")
+        );
     }
     println!("{terminal_line}");
     let terminal: Value = serde_json::from_str(&terminal_line).expect("terminal event parses");
@@ -215,8 +234,8 @@ fn request() {
 }
 
 fn one_shot(cmd: &str) {
-    let mut client = Client::connect(&socket_path())
-        .unwrap_or_else(|e| die(&format!("cannot connect: {e}")));
+    let mut client =
+        Client::connect(&socket_path()).unwrap_or_else(|e| die(&format!("cannot connect: {e}")));
     client
         .send(&obj(vec![("cmd", Value::String(cmd.to_string()))]))
         .unwrap_or_else(|e| die(&format!("cannot send request: {e}")));
@@ -228,8 +247,15 @@ fn one_shot(cmd: &str) {
 
 /// In-process daemon on a scratch socket for the drills; the `CRYO_SERVE_*`
 /// knobs are cleared so the drill's explicit configuration wins.
-fn scratch_daemon(queue_depth: usize, max_pipelines: usize) -> (PathBuf, std::thread::JoinHandle<cryo_serve::ServeStats>) {
-    for var in ["CRYO_SERVE_SOCKET", "CRYO_SERVE_QUEUE", "CRYO_SERVE_PIPELINES"] {
+fn scratch_daemon(
+    queue_depth: usize,
+    max_pipelines: usize,
+) -> (PathBuf, std::thread::JoinHandle<cryo_serve::ServeStats>) {
+    for var in [
+        "CRYO_SERVE_SOCKET",
+        "CRYO_SERVE_QUEUE",
+        "CRYO_SERVE_PIPELINES",
+    ] {
         std::env::remove_var(var);
     }
     let socket = std::env::temp_dir().join(format!("cryo-serve-drill-{}.sock", std::process::id()));
@@ -273,18 +299,24 @@ fn drill_coalesce() {
             })
         })
         .collect();
-    let lines: Vec<String> = clients.into_iter().map(|c| c.join().expect("client")).collect();
+    let lines: Vec<String> = clients
+        .into_iter()
+        .map(|c| c.join().expect("client"))
+        .collect();
     let stats = shutdown_scratch(&socket, handle);
     for line in &lines[1..] {
-        assert_eq!(
-            line, &lines[0],
-            "coalesced subscribers got different bytes"
-        );
+        assert_eq!(line, &lines[0], "coalesced subscribers got different bytes");
     }
     let done: Value = serde_json::from_str(&lines[0]).expect("done parses");
     assert_eq!(event_kind(&done), "done", "{}", lines[0]);
-    assert_eq!(stats.jobs_run, 1, "expected one executed job, got {stats:?}");
-    assert_eq!(stats.coalesced, 2, "expected two coalesced joins, got {stats:?}");
+    assert_eq!(
+        stats.jobs_run, 1,
+        "expected one executed job, got {stats:?}"
+    );
+    assert_eq!(
+        stats.coalesced, 2,
+        "expected two coalesced joins, got {stats:?}"
+    );
     println!(
         "drill coalesce PASS: 3 clients, 1 executed job, byte-identical done lines \
          ({} bytes, digest {})",
@@ -316,7 +348,10 @@ fn drill_overload() {
         let event: Value = serde_json::from_str(&line).expect("event parses");
         match event_kind(&event) {
             "overloaded" => {
-                let retry = event.get("retry_after_ms").as_f64().expect("retry_after_ms");
+                let retry = event
+                    .get("retry_after_ms")
+                    .as_f64()
+                    .expect("retry_after_ms");
                 assert!(retry >= 100.0, "retry_after_ms below floor: {line}");
                 sheds += 1;
             }

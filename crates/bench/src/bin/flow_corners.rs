@@ -109,7 +109,11 @@ fn print_farm(run: &FarmRun, wall_s: f64) {
                 f / 1e6,
                 o.cells,
                 o.degraded_arcs,
-                if o.repaired.is_empty() { "" } else { ", repaired: " },
+                if o.repaired.is_empty() {
+                    ""
+                } else {
+                    ", repaired: "
+                },
                 o.repaired.join(", ")
             );
         }
@@ -212,9 +216,10 @@ fn main() {
         bench(spec, fast);
         return;
     }
-    let kill_after: Option<usize> = std::env::var("CRYO_KILL_AFTER_CORNERS")
-        .ok()
-        .map(|n| n.parse().unwrap_or_else(|_| die("bad CRYO_KILL_AFTER_CORNERS")));
+    let kill_after: Option<usize> = std::env::var("CRYO_KILL_AFTER_CORNERS").ok().map(|n| {
+        n.parse()
+            .unwrap_or_else(|_| die("bad CRYO_KILL_AFTER_CORNERS"))
+    });
     let mut cfg = if fast {
         FlowConfig::fast("data")
     } else {
@@ -246,7 +251,9 @@ fn main() {
     }
 
     if let Ok(n) = std::env::var("CRYO_EXPECT_RESUMED_CORNERS") {
-        let n: usize = n.parse().unwrap_or_else(|_| die("bad CRYO_EXPECT_RESUMED_CORNERS"));
+        let n: usize = n
+            .parse()
+            .unwrap_or_else(|_| die("bad CRYO_EXPECT_RESUMED_CORNERS"));
         for r in run.ledger.iter().take(n) {
             if !r.from_checkpoint || r.dc_solves + r.tran_solves + r.arc_evals != 0 {
                 eprintln!(
@@ -257,7 +264,9 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        println!("resume verified: {n} corner(s) replayed from checkpoints with zero re-simulation");
+        println!(
+            "resume verified: {n} corner(s) replayed from checkpoints with zero re-simulation"
+        );
     }
 
     if let Some(e) = run.signoff_error() {

@@ -137,8 +137,10 @@ fn stage_by_name(name: &str) -> Stage {
 
 fn print_ledger(rep: &PipelineReport, wall_s: f64) {
     println!("=== supervised flow: pipeline {} ===", rep.pipeline_key);
-    println!("{:<12} {:>8} {:>9} {:>10} {:>9} {:>9} {:>10}",
-        "stage", "resumed", "attempts", "wall(s)", "dc", "tran", "arc_evals");
+    println!(
+        "{:<12} {:>8} {:>9} {:>10} {:>9} {:>9} {:>10}",
+        "stage", "resumed", "attempts", "wall(s)", "dc", "tran", "arc_evals"
+    );
     for r in &rep.stages {
         println!(
             "{:<12} {:>8} {:>9} {:>10.3} {:>9} {:>9} {:>10}",
@@ -159,9 +161,17 @@ fn print_ledger(rep: &PipelineReport, wall_s: f64) {
             v.fmax_300_hz / 1e6,
             v.fmax_10_hz / 1e6,
             v.total_power_10k_w * 1e3,
-            if v.fits_cooling_budget { "OK" } else { "EXCEEDED" },
+            if v.fits_cooling_budget {
+                "OK"
+            } else {
+                "EXCEEDED"
+            },
             v.knn_classify_s * 1e6,
-            if v.within_decoherence { "inside" } else { "OUTSIDE" },
+            if v.within_decoherence {
+                "inside"
+            } else {
+                "OUTSIDE"
+            },
             v.degraded_arcs_300,
             v.degraded_arcs_10,
         );
@@ -235,7 +245,13 @@ fn bench(fast: bool) {
     let stages: Vec<String> = cold_rep
         .stages
         .iter()
-        .map(|r| format!("{{ \"stage\": \"{}\", \"cold_s\": {:.6} }}", r.stage.name(), r.wall_s))
+        .map(|r| {
+            format!(
+                "{{ \"stage\": \"{}\", \"cold_s\": {:.6} }}",
+                r.stage.name(),
+                r.wall_s
+            )
+        })
         .collect();
     let json = format!(
         "{{\n  \"bench\": \"flow_supervised\",\n  \"description\": \"Supervised end-to-end \
@@ -350,7 +366,10 @@ fn main() {
     if let Some(stage) = kill_after {
         // Die the hard way: the checkpoint files on disk are all the next
         // run gets, exactly like a crashed or OOM-killed job.
-        println!("checkpointed through {}; sending SIGKILL to self", stage.name());
+        println!(
+            "checkpointed through {}; sending SIGKILL to self",
+            stage.name()
+        );
         let _ = std::process::Command::new("kill")
             .args(["-9", &std::process::id().to_string()])
             .status();

@@ -56,7 +56,11 @@ fn main() {
         let t = Instant::now();
         let (_, rep) = engine(300.0, dies).characterize_library("mc_bench", &cells, None);
         let s = t.elapsed().as_secs_f64();
-        assert!(rep.failed.is_empty(), "bench sweep failed: {:?}", rep.failed);
+        assert!(
+            rep.failed.is_empty(),
+            "bench sweep failed: {:?}",
+            rep.failed
+        );
         eprintln!("  mc {dies:>2} dies x {} cells: {s:.3} s", cells.len());
         scaling.push((dies, s));
     }
@@ -83,7 +87,8 @@ fn main() {
     //     warm→cold sigma ratio, predict everything else from the anchor.
     let probes: Vec<CellNetlist> = cells.iter().step_by(3).cloned().collect();
     let t = Instant::now();
-    let (probe_lib, rep) = engine(10.0, anchor_dies).characterize_library("cold_probe", &probes, None);
+    let (probe_lib, rep) =
+        engine(10.0, anchor_dies).characterize_library("cold_probe", &probes, None);
     assert!(rep.failed.is_empty());
     let fit = SigmaTransfer::fit(&anchor, &probe_lib).expect("transfer fit");
     let (predicted, fallbacks) = fit.apply(&cold_nominal, &anchor);

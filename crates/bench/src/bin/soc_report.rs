@@ -9,9 +9,11 @@ fn main() {
     println!("=== SoC netlist report: rv64_soc ===");
     println!("standard cells: {}", design.cell_count());
     println!("nets:           {}", design.net_count());
-    println!("SRAM macros:    {} ({} KB total)",
+    println!(
+        "SRAM macros:    {} ({} KB total)",
         design.macros().len(),
-        design.macros().iter().map(|m| m.spec.kbytes).sum::<f64>());
+        design.macros().iter().map(|m| m.spec.kbytes).sum::<f64>()
+    );
     let mut regions: Vec<_> = design.region_histogram().into_iter().collect();
     regions.sort_by_key(|&(_, count)| std::cmp::Reverse(count));
     println!("\nper-region instance counts:");

@@ -36,7 +36,6 @@ pub fn flow_from_args() -> CryoFlow {
     CryoFlow::new(cfg)
 }
 
-
 /// If `--json` was passed, serialize `value` to `results/<name>.json`
 /// (creating `results/` as needed) and report the path on stderr.
 pub fn maybe_write_json<T: serde::Serialize>(name: &str, value: &T) {

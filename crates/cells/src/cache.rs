@@ -313,7 +313,10 @@ pub fn store(dir: &Path, name: &str, key: &str, lib: &Library) -> Result<()> {
     // artifact on every load. Written after the artifact, so the torn
     // window is (new artifact, old sidecar) — a mismatch that rebuilds,
     // never a corrupt artifact that serves.
-    write_atomic_raw(&sidecar_digest_path(&path), &content_digest(json.as_bytes()))
+    write_atomic_raw(
+        &sidecar_digest_path(&path),
+        &content_digest(json.as_bytes()),
+    )
 }
 
 /// Map an I/O error at a durable-write site to the structured cell error:

@@ -516,7 +516,13 @@ impl Characterizer {
     fn progress_line(&self, done: &AtomicUsize, total: usize, name: &str) {
         let i = done.fetch_add(1, Ordering::Relaxed);
         if self.cfg.progress {
-            eprintln!("[char {:>5.1}K] {:>3}/{} {}", self.cfg.temp, i + 1, total, name);
+            eprintln!(
+                "[char {:>5.1}K] {:>3}/{} {}",
+                self.cfg.temp,
+                i + 1,
+                total,
+                name
+            );
         }
     }
 
@@ -722,13 +728,12 @@ impl Characterizer {
             }
         }
         let (ckt, vdd_branch) = self.build_circuit(cell, &sources, Some((out, load)));
-        let res = transient(&ckt, &lv.tran(tstop, self.cfg.steps)).map_err(|e| {
-            CellError::Spice {
+        let res =
+            transient(&ckt, &lv.tran(tstop, self.cfg.steps)).map_err(|e| CellError::Spice {
                 cell: cell.name.clone(),
                 what: "timing transient",
                 source: e,
-            }
-        })?;
+            })?;
         let in_node = ckt.find_node(input).expect("input node exists");
         let out_node = ckt.find_node(out).expect("output node exists");
         let vin = res.voltage(in_node);
@@ -1424,9 +1429,14 @@ mod tests {
         );
         // Generation 1 models the targeted repair pass: the transient
         // corruption no longer fires and the cell comes out clean.
-        let (lib2, _) =
-            engine().with_generation(1).characterize_library_robust("repair", &cells, None);
-        assert_eq!(count_negative(&lib2, "INVx1"), 0, "repair pass must be clean");
+        let (lib2, _) = engine()
+            .with_generation(1)
+            .characterize_library_robust("repair", &cells, None);
+        assert_eq!(
+            count_negative(&lib2, "INVx1"),
+            0,
+            "repair pass must be clean"
+        );
     }
 
     #[test]
@@ -1451,7 +1461,11 @@ mod tests {
         let _g = fault::install_guard(plan);
         let (lib300, _) = warm.characterize_library_robust("t300", &cells, None);
         let (lib10, _) = cold.characterize_library_robust("t10", &cells, None);
-        let delay = |lib: &Library| lib.cell("INVx1").unwrap().arcs[0].cell_rise.lookup(5e-12, 0.8e-15);
+        let delay = |lib: &Library| {
+            lib.cell("INVx1").unwrap().arcs[0]
+                .cell_rise
+                .lookup(5e-12, 0.8e-15)
+        };
         let clean_warm_delay = delay(&lib300);
         let corrupted = delay(&lib10);
         let clean = delay(&clean_cold);

@@ -28,7 +28,9 @@ use std::path::{Path, PathBuf};
 use cryo_liberty::Cell;
 use serde::{Deserialize, Serialize};
 
-use crate::cache::{effective_reap_age, fnv1a, is_tmp_name, quarantine, reap_stale_tmp, write_atomic};
+use crate::cache::{
+    effective_reap_age, fnv1a, is_tmp_name, quarantine, reap_stale_tmp, write_atomic,
+};
 use crate::{vfs, CellError, Result};
 
 /// Magic prefix of a checkpoint header line.
@@ -269,7 +271,9 @@ impl CheckpointStore {
         if version != format!("v{VERSION}") {
             return Err(format!("unsupported version {version:?}"));
         }
-        let want = fields.next().ok_or_else(|| "missing checksum".to_string())?;
+        let want = fields
+            .next()
+            .ok_or_else(|| "missing checksum".to_string())?;
         let got = format!("{:016x}", fnv1a(payload.as_bytes()));
         if want != got {
             return Err(format!("checksum mismatch (header {want}, payload {got})"));
@@ -446,7 +450,10 @@ mod tests {
         let path = store.path("stage_sta");
         let text = fs::read_to_string(&path).unwrap();
         fs::write(&path, &text[..text.len() - 3]).unwrap();
-        assert!(store.load_blob("stage_sta").is_none(), "checksum catches it");
+        assert!(
+            store.load_blob("stage_sta").is_none(),
+            "checksum catches it"
+        );
         assert!(!path.exists(), "corrupt blob quarantined");
         let _ = fs::remove_dir_all(&dir);
     }

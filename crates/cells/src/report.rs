@@ -268,7 +268,10 @@ mod tests {
         let json = serde_json::to_string(&r).unwrap();
         let back: CharReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, r);
-        assert_eq!(back.outcome("INVx4").unwrap().derated_from.as_deref(), Some("INVx2"));
+        assert_eq!(
+            back.outcome("INVx4").unwrap().derated_from.as_deref(),
+            Some("INVx2")
+        );
     }
 
     #[test]
@@ -279,7 +282,10 @@ mod tests {
         let mut r = CharReport::default();
         r.push(outcome("INVx1", CellStatus::Characterized));
         let json = serde_json::to_string(&r).unwrap();
-        assert!(!json.contains("audit"), "clean audit must be omitted: {json}");
+        assert!(
+            !json.contains("audit"),
+            "clean audit must be omitted: {json}"
+        );
         let back: CharReport = serde_json::from_str(&json).unwrap();
         assert!(back.audit.is_clean());
 
@@ -354,7 +360,10 @@ mod tests {
         let mut r = CharReport::default();
         r.push(outcome("INVx1", CellStatus::Characterized));
         let json = serde_json::to_string(&r).unwrap();
-        assert!(!json.contains("surrogate"), "absent summary must be omitted: {json}");
+        assert!(
+            !json.contains("surrogate"),
+            "absent summary must be omitted: {json}"
+        );
         let back: CharReport = serde_json::from_str(&json).unwrap();
         assert!(back.surrogate.is_none());
 

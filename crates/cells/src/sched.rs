@@ -274,7 +274,11 @@ mod tests {
                 });
             }
         });
-        assert_eq!(done.load(Ordering::Relaxed), 40, "thieves drained the victim");
+        assert_eq!(
+            done.load(Ordering::Relaxed),
+            40,
+            "thieves drained the victim"
+        );
     }
 
     #[test]

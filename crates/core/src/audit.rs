@@ -132,7 +132,11 @@ pub fn audit_activity(stage: &str, a: &ActivityArtifact) -> AuditReport {
             ));
         }
     };
-    check("default_alpha".into(), "activity_rate_nonneg", a.default_alpha);
+    check(
+        "default_alpha".into(),
+        "activity_rate_nonneg",
+        a.default_alpha,
+    );
     for (region, alpha) in &a.regions {
         check(format!("region/{region}"), "activity_rate_nonneg", *alpha);
     }

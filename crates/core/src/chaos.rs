@@ -450,7 +450,9 @@ fn flip_committed_byte(cache_dir: &Path, store_key: &str, seed: u64) {
     }
     let mut rng = Rng(seed ^ 0xf11b);
     let path = &entries[rng.below(entries.len() as u64) as usize];
-    let Ok(mut bytes) = fs::read(path) else { return };
+    let Ok(mut bytes) = fs::read(path) else {
+        return;
+    };
     if bytes.is_empty() {
         return;
     }
@@ -478,7 +480,14 @@ mod tests {
         let (mut crashes, mut flips) = (0, 0);
         for seed in 0..64 {
             let s = ChaosSchedule::generate(seed, 6);
-            for kind in ["torn", "shortread", "eio", "enospc", "renamedrop", "fsynclie"] {
+            for kind in [
+                "torn",
+                "shortread",
+                "eio",
+                "enospc",
+                "renamedrop",
+                "fsynclie",
+            ] {
                 if s.spec.contains(&format!("io={kind}:")) {
                     kinds_seen.insert(kind);
                 }

@@ -92,7 +92,10 @@ impl Process {
     }
 
     fn order(self) -> usize {
-        Process::ALL.iter().position(|p| *p == self).expect("in ALL")
+        Process::ALL
+            .iter()
+            .position(|p| *p == self)
+            .expect("in ALL")
     }
 
     /// Parse `tt` / `ss` / `ff` (case-insensitive).
@@ -105,7 +108,9 @@ impl Process {
             "tt" => Ok(Process::Tt),
             "ss" => Ok(Process::Ss),
             "ff" => Ok(Process::Ff),
-            other => Err(format!("unknown process corner {other:?} (expected tt, ss, or ff)")),
+            other => Err(format!(
+                "unknown process corner {other:?} (expected tt, ss, or ff)"
+            )),
         }
     }
 }
@@ -270,9 +275,11 @@ impl CornerSpec {
     /// processes in [`Process::ALL`] order) and drop duplicates.
     /// Idempotent; [`CornerSpec::parse`] already returns normalized specs.
     pub fn normalize(&mut self) {
-        self.temps.sort_by(|a, b| b.partial_cmp(a).expect("finite temps"));
+        self.temps
+            .sort_by(|a, b| b.partial_cmp(a).expect("finite temps"));
         self.temps.dedup_by(|a, b| (*a - *b).abs() < 0.05);
-        self.vdds.sort_by(|a, b| a.partial_cmp(b).expect("finite vdds"));
+        self.vdds
+            .sort_by(|a, b| a.partial_cmp(b).expect("finite vdds"));
         self.vdds.dedup_by(|a, b| (*a - *b).abs() < 0.5e-3);
         self.procs.sort_by_key(|p| p.order());
         self.procs.dedup();
@@ -798,7 +805,11 @@ impl CornerFarm {
                 .find(|(k, _)| *k == g)
                 .map(|(_, c)| *c)
                 .expect("every corner's group has an anchor");
-            let anchor = if anchor == *corner { None } else { Some(anchor) };
+            let anchor = if anchor == *corner {
+                None
+            } else {
+                Some(anchor)
+            };
             let (outcome, record) = self.run_corner(*corner, anchor, started, &store)?;
             outcomes.push(outcome);
             ledger.push(record);
@@ -1009,7 +1020,8 @@ fn corner_work(
     let surrogate = flow.config().surrogate_policy;
     let (mut lib, report, provenance) = match (anchor_lib.as_ref(), surrogate) {
         (Some(warm), SurrogatePolicy::PredictWithFallback { max_rel_err }) => {
-            let (lib, report) = flow.corner_surrogate_library_with_report(&corner, warm, max_rel_err)?;
+            let (lib, report) =
+                flow.corner_surrogate_library_with_report(&corner, warm, max_rel_err)?;
             let model_hash = report
                 .surrogate
                 .as_ref()
@@ -1040,7 +1052,12 @@ fn corner_work(
                     let offenders = cross.offending_cells();
                     let (lib2, _rep2) = flow.corner_repair_library(&corner, &lib, &offenders)?;
                     let mut recheck = audit_library(&name, &lib2, &audit_cfg);
-                    recheck.merge(audit_cross_corner_nearest(&name, &lib2, &[warm], &audit_cfg));
+                    recheck.merge(audit_cross_corner_nearest(
+                        &name,
+                        &lib2,
+                        &[warm],
+                        &audit_cfg,
+                    ));
                     if !recheck.is_clean() {
                         return Err(CoreError::AuditFailed {
                             stage: name,
@@ -1273,10 +1290,7 @@ mod tests {
         cfg.fault_plan = None;
         let spec_a = CornerSpec::parse("T=300,77;P=tt,ss").unwrap();
         let spec_b = CornerSpec::parse("P=ss,tt;T=77,300").unwrap();
-        let farm_a = CornerFarm::new(
-            CryoFlow::new(cfg.clone()),
-            FarmConfig::new(spec_a.clone()),
-        );
+        let farm_a = CornerFarm::new(CryoFlow::new(cfg.clone()), FarmConfig::new(spec_a.clone()));
         let farm_b = CornerFarm::new(CryoFlow::new(cfg.clone()), FarmConfig::new(spec_b));
         let key = farm_a.farm_key().unwrap();
         assert_eq!(key, farm_b.farm_key().unwrap(), "order-invariant");

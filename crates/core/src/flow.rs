@@ -2,7 +2,7 @@
 
 use std::path::PathBuf;
 
-use cryo_cells::{cache, topology, CharConfig, Characterizer, CharReport, CheckpointStore};
+use cryo_cells::{cache, topology, CharConfig, CharReport, Characterizer, CheckpointStore};
 use cryo_device::{corner_die, ModelCard, Polarity, VariationModel};
 use cryo_hdc::IqEncoder;
 use cryo_liberty::{audit_library, AuditReport, Library};
@@ -16,8 +16,8 @@ use cryo_spice::{fault, FaultPlan};
 use cryo_sta::{analyze, MissingArcPolicy, StaConfig, TimingReport};
 
 use crate::audit::AuditPolicy;
-use crate::mc::McPolicy;
 use crate::corners::{Corner, Process};
+use crate::mc::McPolicy;
 use crate::surrogate::SurrogatePolicy;
 use crate::{CoreError, Result};
 
@@ -208,7 +208,11 @@ impl CryoFlow {
     /// `FlowConfig::coverage_floor`; cache I/O failures otherwise.
     pub fn library_with_report(&self, temp: f64) -> Result<(Library, CharReport)> {
         let char_cfg = self.base_char_cfg(temp);
-        let stage = if temp < 150.0 { "charlib10" } else { "charlib300" };
+        let stage = if temp < 150.0 {
+            "charlib10"
+        } else {
+            "charlib300"
+        };
         // The fault guard goes up before the cards and the cache key are
         // derived: a `corrupt=vth` plan poisons the effective cards, which
         // changes the key, so a poisoned run can never read or write the
@@ -511,7 +515,14 @@ impl CryoFlow {
         let char_cfg = self.corner_char_cfg(corner);
         let _fault_guard = self.cfg.fault_plan.clone().map(fault::install_guard);
         let (nfet, pfet) = self.corner_cards(corner);
-        self.repair_corner(&corner.lib_name(), &char_cfg, &nfet, &pfet, current, offenders)
+        self.repair_corner(
+            &corner.lib_name(),
+            &char_cfg,
+            &nfet,
+            &pfet,
+            current,
+            offenders,
+        )
     }
 
     fn repair_corner(

@@ -88,9 +88,7 @@ impl McPolicy {
             None => MC_DEFAULT_K_SIGMA,
             Some(k) => {
                 let Some(v) = k.strip_prefix("k:") else {
-                    return Err(format!(
-                        "unknown MC field {k:?} (expected k:<sigma>)"
-                    ));
+                    return Err(format!("unknown MC field {k:?} (expected k:<sigma>)"));
                 };
                 let k_sigma: f64 = v
                     .parse()
@@ -285,10 +283,7 @@ fn probe_cells(golden: &[CellNetlist]) -> Vec<CellNetlist> {
 /// (`NAND2x4` → `NAND2x1`, `CLKBUFx8` → `CLKBUFx2`), if one exists.
 fn golden_sibling<'a>(golden: &'a Library, name: &str) -> Option<&'a cryo_liberty::Cell> {
     let base = family_base(name);
-    golden
-        .cells()
-        .iter()
-        .find(|g| family_base(&g.name) == base)
+    golden.cells().iter().find(|g| family_base(&g.name) == base)
 }
 
 /// Mean of a table's entries.
@@ -345,8 +340,12 @@ pub fn broadcast_sigma(nominal: &Library, golden: &Library) -> (Library, Vec<Str
                 gsig.clone()
             } else {
                 ArcSigma {
-                    cell_rise: arc.cell_rise.scaled(rel_of(&gsig.cell_rise, &garc.cell_rise) * scale),
-                    cell_fall: arc.cell_fall.scaled(rel_of(&gsig.cell_fall, &garc.cell_fall) * scale),
+                    cell_rise: arc
+                        .cell_rise
+                        .scaled(rel_of(&gsig.cell_rise, &garc.cell_rise) * scale),
+                    cell_fall: arc
+                        .cell_fall
+                        .scaled(rel_of(&gsig.cell_fall, &garc.cell_fall) * scale),
                     rise_transition: arc
                         .rise_transition
                         .scaled(rel_of(&gsig.rise_transition, &garc.rise_transition) * scale),
@@ -542,11 +541,7 @@ impl CryoFlow {
 
 /// Open an MC checkpoint store, degrading to `None` (no resume support)
 /// when the disk is full — durability degrades, never the run.
-fn open_mc_store(
-    dir: &std::path::Path,
-    name: &str,
-    key: &str,
-) -> Result<Option<CheckpointStore>> {
+fn open_mc_store(dir: &std::path::Path, name: &str, key: &str) -> Result<Option<CheckpointStore>> {
     match CheckpointStore::open(dir, name, key) {
         Ok(store) => Ok(Some(store)),
         Err(e) if e.is_no_space() => {
@@ -580,8 +575,16 @@ mod tests {
             }
         );
         for bad in [
-            "on", "n:", "n:0", "n:abc", "n:24,", "n:24,k:", "n:24,k:-1", "n:24,k:nan",
-            "n:24,x:2", "n:9999999",
+            "on",
+            "n:",
+            "n:0",
+            "n:abc",
+            "n:24,",
+            "n:24,k:",
+            "n:24,k:-1",
+            "n:24,k:nan",
+            "n:24,x:2",
+            "n:9999999",
         ] {
             assert!(McPolicy::parse(bad).is_err(), "{bad:?} should be rejected");
         }
@@ -617,7 +620,11 @@ mod tests {
         };
         assert_eq!(a.char_blob("charlib300_mc"), "charlib300_mc_n4");
         assert_ne!(a.char_blob("charlib300_mc"), b.char_blob("charlib300_mc"));
-        assert_eq!(b.char_blob("x"), c.char_blob("x"), "sigma tables are k-independent");
+        assert_eq!(
+            b.char_blob("x"),
+            c.char_blob("x"),
+            "sigma tables are k-independent"
+        );
         assert_eq!(b.sta_blob("sta300_mc"), "sta300_mc_n24_k3");
         assert_ne!(b.sta_blob("sta300_mc"), c.sta_blob("sta300_mc"));
     }

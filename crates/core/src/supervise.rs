@@ -34,7 +34,9 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use cryo_cells::{cache, topology, CharReport, CheckpointStore, SurrogateSummary};
-use cryo_liberty::{audit_cross_corner, audit_library, audit_lvf_cross_corner, AuditReport, Library};
+use cryo_liberty::{
+    audit_cross_corner, audit_library, audit_lvf_cross_corner, AuditReport, Library,
+};
 use cryo_power::{ActivityProfile, PowerReport};
 use cryo_spice::work::{self, Work};
 use cryo_spice::{fault, FaultPlan};
@@ -402,7 +404,10 @@ fn reap_age_checked() -> std::result::Result<Option<u64>, String> {
         .parse()
         .map_err(|_| "not an unsigned integer (seconds)".to_string())?;
     if n > cache::REAP_AGE_MAX_SECS {
-        return Err(format!("must be <= {} (one year)", cache::REAP_AGE_MAX_SECS));
+        return Err(format!(
+            "must be <= {} (one year)",
+            cache::REAP_AGE_MAX_SECS
+        ));
     }
     Ok(Some(n))
 }
@@ -707,7 +712,10 @@ impl Supervisor {
                     simulated: o.report.simulated.len(),
                     failed: o.report.failed.len(),
                     mean_rel_sigma: o.mean_rel_sigma,
-                    transfer_ratio: o.transfer.as_ref().map(cryo_lvf::transfer::SigmaTransfer::ratio),
+                    transfer_ratio: o
+                        .transfer
+                        .as_ref()
+                        .map(cryo_lvf::transfer::SigmaTransfer::ratio),
                     fallbacks: o.fallbacks.len(),
                     critical_path_sigma: stat.map_or(0.0, |s| s.critical_path_sigma),
                     worst_slack_k_sigma: stat.map_or(0.0, |s| s.worst_slack_k_sigma),
@@ -731,8 +739,13 @@ impl Supervisor {
         let flow = self.flow.clone();
         let jobs = env.jobs.unwrap_or(fcfg.jobs);
         let faults_armed = fcfg.fault_plan.is_some();
-        let _cal: CalibrateArtifact =
-            self.stage(Stage::Calibrate, started, &store, &mut records, &mut warnings, move || {
+        let _cal: CalibrateArtifact = self.stage(
+            Stage::Calibrate,
+            started,
+            &store,
+            &mut records,
+            &mut warnings,
+            move || {
                 Ok(CalibrateArtifact {
                     nfet_digest: fnv64(&format!("{:?}", flow.nfet)),
                     pfet_digest: fnv64(&format!("{:?}", flow.pfet)),
@@ -740,7 +753,8 @@ impl Supervisor {
                     faults_armed,
                     jobs,
                 })
-            })?;
+            },
+        )?;
         if audit_policy.is_on() {
             // The device audit runs on the cards every downstream stage
             // will actually consume — a `corrupt=vth` poison is caught
@@ -756,8 +770,13 @@ impl Supervisor {
 
         // Characterization ---------------------------------------------
         let flow = self.flow.clone();
-        let char300: CharArtifact =
-            self.stage(Stage::Charlib300, started, &store, &mut records, &mut warnings, move || {
+        let char300: CharArtifact = self.stage(
+            Stage::Charlib300,
+            started,
+            &store,
+            &mut records,
+            &mut warnings,
+            move || {
                 let (lib, report) = flow.library_with_report(300.0)?;
                 let mean_delay = lib.stats().mean_delay;
                 Ok(CharArtifact {
@@ -765,7 +784,8 @@ impl Supervisor {
                     report,
                     mean_delay,
                 })
-            })?;
+            },
+        )?;
         let char300 = if audit_policy.is_on() {
             self.audit_charlib(
                 Stage::Charlib300,
@@ -836,8 +856,13 @@ impl Supervisor {
                     },
                 )?
             }
-            SurrogatePolicy::Off => {
-                self.stage(Stage::Charlib10, started, &store, &mut records, &mut warnings, move || {
+            SurrogatePolicy::Off => self.stage(
+                Stage::Charlib10,
+                started,
+                &store,
+                &mut records,
+                &mut warnings,
+                move || {
                     let (lib, report) = flow.library_with_report(10.0)?;
                     let mean_delay = lib.stats().mean_delay;
                     Ok(CharArtifact {
@@ -845,8 +870,8 @@ impl Supervisor {
                         report,
                         mean_delay,
                     })
-                })?
-            }
+                },
+            )?,
         };
         let char10 = if audit_policy.is_on() || char10.report.surrogate.is_some() {
             // The cold corner additionally audits against the warm one:
@@ -917,11 +942,17 @@ impl Supervisor {
         let lib = char300.lib.clone();
         let mean300 = char300.mean_delay;
         let policy = self.cfg.missing_arc_policy;
-        let mut sta300: TimingReport =
-            self.stage(Stage::Sta300, started, &store, &mut records, &mut warnings, move || {
+        let mut sta300: TimingReport = self.stage(
+            Stage::Sta300,
+            started,
+            &store,
+            &mut records,
+            &mut warnings,
+            move || {
                 let design = flow.soc();
                 flow.timing_with_policy(&design, &lib, mean300, policy)
-            })?;
+            },
+        )?;
         if audit_policy.is_on() {
             let found = audit_timing(Stage::Sta300.name(), &sta300);
             sta300.audit = found.clone();
@@ -958,11 +989,17 @@ impl Supervisor {
 
         let flow = self.flow.clone();
         let lib = char10.lib.clone();
-        let mut sta10: TimingReport =
-            self.stage(Stage::Sta10, started, &store, &mut records, &mut warnings, move || {
+        let mut sta10: TimingReport = self.stage(
+            Stage::Sta10,
+            started,
+            &store,
+            &mut records,
+            &mut warnings,
+            move || {
                 let design = flow.soc();
                 flow.timing_with_policy(&design, &lib, mean300, policy)
-            })?;
+            },
+        )?;
         if audit_policy.is_on() {
             let found = audit_timing(Stage::Sta10.name(), &sta10);
             sta10.audit = found.clone();
@@ -1006,8 +1043,13 @@ impl Supervisor {
         // Activity ------------------------------------------------------
         let flow = self.flow.clone();
         let qubits = self.cfg.qubits;
-        let act: ActivityArtifact =
-            self.stage(Stage::Activity, started, &store, &mut records, &mut warnings, move || {
+        let act: ActivityArtifact = self.stage(
+            Stage::Activity,
+            started,
+            &store,
+            &mut records,
+            &mut warnings,
+            move || {
                 let run = flow.run_workload(Workload::Knn { n: qubits })?;
                 let profile = flow.activity_profile(&run.stats);
                 Ok(ActivityArtifact {
@@ -1016,7 +1058,8 @@ impl Supervisor {
                     macro_accesses: profile.macro_accesses_sorted(),
                     cycles_per_item: run.cycles_per_item,
                 })
-            })?;
+            },
+        )?;
         if audit_policy.is_on() {
             let found = audit::audit_activity(Stage::Activity.name(), &act);
             self.settle(Stage::Activity, found, audit_policy, &mut pipeline_audit)?;
@@ -1036,8 +1079,13 @@ impl Supervisor {
         let lib300 = char300.lib.clone();
         let lib10 = char10.lib.clone();
         let act_for_power = act.clone();
-        let pow: PowerArtifact =
-            self.stage(Stage::Power, started, &store, &mut records, &mut warnings, move || {
+        let pow: PowerArtifact = self.stage(
+            Stage::Power,
+            started,
+            &store,
+            &mut records,
+            &mut warnings,
+            move || {
                 let design = flow.soc();
                 let mut profile = rebuild_profile(&act_for_power);
                 let scale =
@@ -1050,7 +1098,8 @@ impl Supervisor {
                     p300: PowerCorner::from_report(&p300),
                     p10: PowerCorner::from_report(&p10),
                 })
-            })?;
+            },
+        )?;
         if audit_policy.is_on() {
             let mut found = audit::audit_power_corner(Stage::Power.name(), &pow.p300);
             found.merge(audit::audit_power_corner(Stage::Power.name(), &pow.p10));
@@ -1074,8 +1123,13 @@ impl Supervisor {
         let fmax_10 = sta10.fmax();
         let degraded_300 = sta300.degraded_arcs.len();
         let degraded_10 = sta10.degraded_arcs.len();
-        let verdict: ClassifyArtifact =
-            self.stage(Stage::Classify, started, &store, &mut records, &mut warnings, move || {
+        let verdict: ClassifyArtifact = self.stage(
+            Stage::Classify,
+            started,
+            &store,
+            &mut records,
+            &mut warnings,
+            move || {
                 let knn_classify_s = qubits as f64 * cycles_per_item / FIG7_CLOCK;
                 Ok(ClassifyArtifact {
                     fmax_300_hz: fmax_300,
@@ -1088,7 +1142,8 @@ impl Supervisor {
                     degraded_arcs_300: degraded_300,
                     degraded_arcs_10: degraded_10,
                 })
-            })?;
+            },
+        )?;
         if audit_policy.is_on() {
             let found = audit::audit_classify(Stage::Classify.name(), &verdict);
             self.settle(Stage::Classify, found, audit_policy, &mut pipeline_audit)?;
@@ -1204,8 +1259,7 @@ impl Supervisor {
         }
         let offenders = found.offending_cells();
         let (lib, mut report) = if predicted {
-            let SurrogatePolicy::PredictWithFallback { max_rel_err } = fcfg.surrogate_policy
-            else {
+            let SurrogatePolicy::PredictWithFallback { max_rel_err } = fcfg.surrogate_policy else {
                 // A predicted artifact resumed with the surrogate now
                 // off: there is no repair path that would not launder
                 // predictions into SPICE artifacts. Terminal.
@@ -1220,7 +1274,8 @@ impl Supervisor {
                     report: found,
                 });
             };
-            self.flow.surrogate_library_with_report(temp, w, max_rel_err)?
+            self.flow
+                .surrogate_library_with_report(temp, w, max_rel_err)?
         } else {
             self.flow.repair_library(temp, &art.lib, &offenders)?
         };
@@ -1250,7 +1305,10 @@ impl Supervisor {
         let payload = serde_json::to_string(&art).expect("stage artifacts serialize");
         if let Err(e) = store.store_blob(blob_name, &payload) {
             if e.is_no_space() {
-                let w = format!("repaired-checkpoint write shed at stage {}: {e}", stage.name());
+                let w = format!(
+                    "repaired-checkpoint write shed at stage {}: {e}",
+                    stage.name()
+                );
                 eprintln!("warning: {w}");
                 warnings.push(w);
             } else {
@@ -1364,10 +1422,8 @@ impl Supervisor {
                                     // ENOSPC degrades durability, never the
                                     // run: the artifact is live in memory,
                                     // only its resume point is shed.
-                                    let w = format!(
-                                        "checkpoint shed at stage {}: {e}",
-                                        stage.name()
-                                    );
+                                    let w =
+                                        format!("checkpoint shed at stage {}: {e}", stage.name());
                                     eprintln!("warning: {w}");
                                     warnings.push(w);
                                 } else {

@@ -11,7 +11,7 @@
 //! provably never re-simulating a cell the surrogate got right.
 
 use cryo_cells::{
-    cache, topology, CellStatus, CharConfig, CharReport, CheckpointStore, Characterizer,
+    cache, topology, CellStatus, CharConfig, CharReport, Characterizer, CheckpointStore,
     SurrogateSummary,
 };
 use cryo_device::CornerScalars;
@@ -150,7 +150,16 @@ impl CryoFlow {
         let _fault_guard = cfg.fault_plan.clone().map(fault::install_guard);
         let (nfet, pfet) = self.effective_cards();
         let name = format!("cryo5_tt_0p70v_{}k", temp as u32);
-        self.surrogate_corner(&name, stage, &char_cfg, temp, &nfet, &pfet, warm, max_rel_err)
+        self.surrogate_corner(
+            &name,
+            stage,
+            &char_cfg,
+            temp,
+            &nfet,
+            &pfet,
+            warm,
+            max_rel_err,
+        )
     }
 
     /// [`CryoFlow::surrogate_library_with_report`] for an arbitrary farm
@@ -206,8 +215,7 @@ impl CryoFlow {
         let key = cache::cache_key(nfet, pfet, char_cfg, &probe_tag)?;
 
         // 1. Ground-truth probes at the target corner.
-        let probe_store =
-            CheckpointStore::open(&cfg.cache_dir, &format!("{name}_surprobe"), &key)?;
+        let probe_store = CheckpointStore::open(&cfg.cache_dir, &format!("{name}_surprobe"), &key)?;
         let engine = Characterizer::new(nfet, pfet, char_cfg.clone());
         let (probe_lib, _probe_report) = engine.characterize_library_robust(
             &format!("{name}_surprobe"),
@@ -267,8 +275,7 @@ impl CryoFlow {
                 fb_store.remove(off);
             }
             let repair = Characterizer::new(nfet, pfet, char_cfg.clone()).with_generation(1);
-            let (lib2, report2) =
-                repair.characterize_library_robust(name, &cells, Some(&fb_store));
+            let (lib2, report2) = repair.characterize_library_robust(name, &cells, Some(&fb_store));
             let mut recheck = audit_library(stage, &lib2, &audit_cfg);
             recheck.merge(audit_cross_corner(stage, warm, &lib2, &audit_cfg));
             if !recheck.is_clean() {

@@ -49,7 +49,9 @@ pub use audit::{audit_cards, DeviceFinding};
 pub use calibrate::{CalibrationReport, Calibrator};
 pub use metrics::{CornerScalars, DeviceMetrics, IvCurve, IvDataset};
 pub use model::FinFet;
-pub use montecarlo::{corner_die, mismatch_run, sample_die, stats, MismatchResult, Spread, VariationModel};
+pub use montecarlo::{
+    corner_die, mismatch_run, sample_die, stats, MismatchResult, Spread, VariationModel,
+};
 pub use params::{ModelCard, Polarity};
 pub use silicon::VirtualWafer;
 

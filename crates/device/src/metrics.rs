@@ -194,7 +194,12 @@ pub struct CornerScalars {
 impl CornerScalars {
     /// Evaluate both polarities of a card pair at `(vdd, temp)`.
     #[must_use]
-    pub fn at(nfet: &crate::params::ModelCard, pfet: &crate::params::ModelCard, vdd: f64, temp: f64) -> Self {
+    pub fn at(
+        nfet: &crate::params::ModelCard,
+        pfet: &crate::params::ModelCard,
+        vdd: f64,
+        temp: f64,
+    ) -> Self {
         let n = FinFet::new(nfet, temp, 1);
         let p = FinFet::new(pfet, temp, 1);
         CornerScalars {

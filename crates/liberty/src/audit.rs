@@ -254,7 +254,10 @@ fn audit_table(
                         format!("{entity}[{r},{c}]"),
                         "delay_monotone_load",
                         v,
-                        format!(">= {:e} (load-monotone)", prev * (1.0 - cfg.monotone_rel_tol)),
+                        format!(
+                            ">= {:e} (load-monotone)",
+                            prev * (1.0 - cfg.monotone_rel_tol)
+                        ),
                     ));
                 }
             }
@@ -267,7 +270,13 @@ fn audit_table(
 /// can collapse), and the sigma grid must be congruent with the nominal
 /// grid (same slew/load axes), or lookups would silently interpolate
 /// variation at points the nominal table never saw.
-fn audit_sigma_table(stage: &str, entity: &str, sigma: &Lut2, nominal: &Lut2, out: &mut AuditReport) {
+fn audit_sigma_table(
+    stage: &str,
+    entity: &str,
+    sigma: &Lut2,
+    nominal: &Lut2,
+    out: &mut AuditReport,
+) {
     let (n1, n2) = (sigma.index1().len(), sigma.index2().len());
     if sigma.values().is_empty() || sigma.values().len() != n1 * n2 || n1 == 0 || n2 == 0 {
         out.push(Finding::new(
@@ -325,8 +334,16 @@ pub fn audit_cell(stage: &str, cell: &Cell, cfg: &AuditConfig) -> AuditReport {
             for (name, s, nom) in [
                 ("ocv_sigma_cell_rise", &sig.cell_rise, &arc.cell_rise),
                 ("ocv_sigma_cell_fall", &sig.cell_fall, &arc.cell_fall),
-                ("ocv_sigma_rise_transition", &sig.rise_transition, &arc.rise_transition),
-                ("ocv_sigma_fall_transition", &sig.fall_transition, &arc.fall_transition),
+                (
+                    "ocv_sigma_rise_transition",
+                    &sig.rise_transition,
+                    &arc.rise_transition,
+                ),
+                (
+                    "ocv_sigma_fall_transition",
+                    &sig.fall_transition,
+                    &arc.fall_transition,
+                ),
             ] {
                 audit_sigma_table(stage, &entity_for(&cell.name, arc, name), s, nom, &mut out);
             }
@@ -338,8 +355,16 @@ pub fn audit_cell(stage: &str, cell: &Cell, cfg: &AuditConfig) -> AuditReport {
         for (name, t, role) in [
             ("cell_rise", &arc.cell_rise, delay_role),
             ("cell_fall", &arc.cell_fall, delay_role),
-            ("rise_transition", &arc.rise_transition, TableRole::Transition),
-            ("fall_transition", &arc.fall_transition, TableRole::Transition),
+            (
+                "rise_transition",
+                &arc.rise_transition,
+                TableRole::Transition,
+            ),
+            (
+                "fall_transition",
+                &arc.fall_transition,
+                TableRole::Transition,
+            ),
         ] {
             // Constraint arcs leave their transition tables unused; only
             // finiteness matters there.
@@ -360,7 +385,10 @@ pub fn audit_cell(stage: &str, cell: &Cell, cfg: &AuditConfig) -> AuditReport {
         }
     }
     for pa in &cell.power_arcs {
-        for (name, t) in [("rise_energy", &pa.rise_energy), ("fall_energy", &pa.fall_energy)] {
+        for (name, t) in [
+            ("rise_energy", &pa.rise_energy),
+            ("fall_energy", &pa.fall_energy),
+        ] {
             let entity = format!("{}/{}->{}/{name}", cell.name, pa.related_pin, pa.pin);
             audit_table(stage, &entity, t, TableRole::Energy, cfg, false, &mut out);
         }
@@ -668,14 +696,17 @@ mod tests {
             .filter(|f| f.invariant == "delay_monotone_load")
             .collect();
         assert_eq!(mono.len(), 1);
-        assert!(mono[0].entity.ends_with("cell_rise[1,2]"), "{}", mono[0].entity);
+        assert!(
+            mono[0].entity.ends_with("cell_rise[1,2]"),
+            "{}",
+            mono[0].entity
+        );
     }
 
     #[test]
     fn degenerate_deserialized_table_is_flagged() {
         // serde bypasses Lut2::new — an empty table can only arrive that way.
-        let empty: Lut2 =
-            serde_json::from_str(r#"{"index1":[],"index2":[],"values":[]}"#).unwrap();
+        let empty: Lut2 = serde_json::from_str(r#"{"index1":[],"index2":[],"values":[]}"#).unwrap();
         let rep = audit_cell("t", &cell_with(empty), &AuditConfig::default());
         assert!(rep.findings.iter().any(|f| f.invariant == "grid_populated"));
     }
@@ -710,13 +741,13 @@ mod tests {
         // Linear distance would pick 77 K for a 200 K library too; log
         // distance correctly picks 300 K (ratio 1.5 vs 2.6).
         let warmish = Library::new("m", 200.0, 0.7);
-        assert_eq!(nearest_anchor(&warmish, &[&l300, &l77]).unwrap().name, "w300");
+        assert_eq!(
+            nearest_anchor(&warmish, &[&l300, &l77]).unwrap().name,
+            "w300"
+        );
         // A same-VDD anchor beats a nearer-in-T anchor at another VDD.
         let mid = Library::new("m2", 250.0, 0.7);
-        assert_eq!(
-            nearest_anchor(&mid, &[&l300_lo, &l77]).unwrap().name,
-            "w77"
-        );
+        assert_eq!(nearest_anchor(&mid, &[&l300_lo, &l77]).unwrap().name, "w77");
         assert!(nearest_anchor(&cold, &[]).is_none());
     }
 
@@ -741,8 +772,7 @@ mod tests {
             arc.cell_fall = arc.cell_fall.scaled(2.7);
         }
         cold.add_cell(slow);
-        let rep =
-            audit_cross_corner_nearest("x", &cold, &[&w300, &w77], &AuditConfig::default());
+        let rep = audit_cross_corner_nearest("x", &cold, &[&w300, &w77], &AuditConfig::default());
         assert_eq!(rep.findings.len(), 1);
         assert_eq!(rep.findings[0].invariant, "cross_corner_band");
         // With no anchors the audit is clean by definition.
@@ -775,20 +805,26 @@ mod tests {
         let sig = cell.arcs[0].sigma.as_mut().unwrap();
         let mut vals = sig.cell_rise.values().to_vec();
         vals[2] = -1e-13; // row 0, col 2
-        sig.cell_rise =
-            Lut2::new(sig.cell_rise.index1().to_vec(), sig.cell_rise.index2().to_vec(), vals)
-                .unwrap();
+        sig.cell_rise = Lut2::new(
+            sig.cell_rise.index1().to_vec(),
+            sig.cell_rise.index2().to_vec(),
+            vals,
+        )
+        .unwrap();
         let rep = audit_cell("t", &cell, &AuditConfig::default());
-        assert!(rep.findings.iter().any(|f| f.invariant == "sigma_nonneg"
-            && f.entity.ends_with("ocv_sigma_cell_rise[0,2]")));
+        assert!(rep.findings.iter().any(
+            |f| f.invariant == "sigma_nonneg" && f.entity.ends_with("ocv_sigma_cell_rise[0,2]")
+        ));
         // A degenerate (empty) sigma table can only arrive through serde;
         // it is reported as an unpopulated grid, same as nominal tables.
         let mut hollow = with_sigma(cell_with(grid_table(1e-12)), 0.05);
         hollow.arcs[0].sigma.as_mut().unwrap().cell_fall =
             serde_json::from_str(r#"{"index1":[],"index2":[],"values":[]}"#).unwrap();
         let rep2 = audit_cell("t", &hollow, &AuditConfig::default());
-        assert!(rep2.findings.iter().any(|f| f.invariant == "grid_populated"
-            && f.entity.ends_with("ocv_sigma_cell_fall")));
+        assert!(rep2
+            .findings
+            .iter()
+            .any(|f| f.invariant == "grid_populated" && f.entity.ends_with("ocv_sigma_cell_fall")));
     }
 
     #[test]
@@ -805,7 +841,11 @@ mod tests {
             .filter(|f| f.invariant == "sigma_grid_congruent")
             .collect();
         assert_eq!(hits.len(), 1);
-        assert!(hits[0].entity.ends_with("ocv_sigma_cell_fall"), "{}", hits[0].entity);
+        assert!(
+            hits[0].entity.ends_with("ocv_sigma_cell_fall"),
+            "{}",
+            hits[0].entity
+        );
     }
 
     #[test]
@@ -822,7 +862,10 @@ mod tests {
         bad_cold.add_cell(with_sigma(cell_with(grid_table(1e-12)), 0.01));
         let rep = audit_lvf_cross_corner("x", &warm, &bad_cold);
         assert_eq!(rep.findings.len(), 2, "{:?}", rep.findings);
-        assert!(rep.findings.iter().all(|f| f.invariant == "sigma_cryo_ordering"));
+        assert!(rep
+            .findings
+            .iter()
+            .all(|f| f.invariant == "sigma_cryo_ordering"));
         // Libraries without LVF data audit vacuously clean.
         let mut plain = Library::new("p", 10.0, 0.7);
         plain.add_cell(cell_with(grid_table(1e-12)));
@@ -833,7 +876,13 @@ mod tests {
     #[test]
     fn report_serde_round_trips_with_nan_observations() {
         let mut rep = AuditReport::default();
-        rep.push(Finding::new("s", "C/x->y/t[0,0]".into(), "finite", f64::NAN, "finite".into()));
+        rep.push(Finding::new(
+            "s",
+            "C/x->y/t[0,0]".into(),
+            "finite",
+            f64::NAN,
+            "finite".into(),
+        ));
         let json = serde_json::to_string(&rep).unwrap();
         let back: AuditReport = serde_json::from_str(&json).unwrap();
         assert_eq!(rep, back);

@@ -163,7 +163,13 @@ fn write_cell(out: &mut String, cell: &Cell) {
             }
             write_table(out, 4, "rise_transition", &arc.rise_transition, TIME_SCALE);
             if let Some(s) = sig {
-                write_table(out, 4, "ocv_sigma_rise_transition", &s.rise_transition, TIME_SCALE);
+                write_table(
+                    out,
+                    4,
+                    "ocv_sigma_rise_transition",
+                    &s.rise_transition,
+                    TIME_SCALE,
+                );
             }
             write_table(out, 4, "cell_fall", &arc.cell_fall, TIME_SCALE);
             if let Some(s) = sig {
@@ -171,7 +177,13 @@ fn write_cell(out: &mut String, cell: &Cell) {
             }
             write_table(out, 4, "fall_transition", &arc.fall_transition, TIME_SCALE);
             if let Some(s) = sig {
-                write_table(out, 4, "ocv_sigma_fall_transition", &s.fall_transition, TIME_SCALE);
+                write_table(
+                    out,
+                    4,
+                    "ocv_sigma_fall_transition",
+                    &s.fall_transition,
+                    TIME_SCALE,
+                );
             }
             push(out, 3, "}");
         }

@@ -37,7 +37,9 @@ pub use audit::{
     audit_lvf_cross_corner, mean_cell_delay, mean_cell_sigma, nearest_anchor, AuditConfig,
     AuditReport, Finding,
 };
-pub use cell::{ArcKind, ArcSigma, Cell, FfSpec, Pin, PinDirection, PowerArc, TimingArc, TimingSense};
+pub use cell::{
+    ArcKind, ArcSigma, Cell, FfSpec, Pin, PinDirection, PowerArc, TimingArc, TimingSense,
+};
 pub use function::LogicFunction;
 pub use library::{DelayHistogram, Library, LibraryStats};
 pub use provenance::{Provenance, ResidualStats};

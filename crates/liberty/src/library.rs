@@ -376,8 +376,7 @@ mod tests {
         let mut l = lib();
         // An empty table can only arrive through serde, which bypasses the
         // Lut2 constructor — exactly what a truncated ingest produces.
-        let empty: Lut2 =
-            serde_json::from_str(r#"{"index1":[],"index2":[],"values":[]}"#).unwrap();
+        let empty: Lut2 = serde_json::from_str(r#"{"index1":[],"index2":[],"values":[]}"#).unwrap();
         let mut hollow = cell_with_delay("NANDx1", 4e-12);
         hollow.arcs[0].cell_rise = empty;
         l.add_cell(hollow);

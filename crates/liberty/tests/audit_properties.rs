@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use serde::{Deserialize, Serialize, Value};
 
 use cryo_liberty::{
-    audit_cell, ArcKind, AuditConfig, Cell, Lut2, LogicFunction, Pin, TimingArc, TimingSense,
+    audit_cell, ArcKind, AuditConfig, Cell, LogicFunction, Lut2, Pin, TimingArc, TimingSense,
 };
 
 /// Rebuild a table with `values` through serde, bypassing the

@@ -90,7 +90,12 @@ impl McConfig {
 /// # Errors
 ///
 /// [`CellError::Cache`] when a model card fails to serialize.
-pub fn mc_cache_key(nfet: &ModelCard, pfet: &ModelCard, cfg: &McConfig, cell_tag: &str) -> Result<String> {
+pub fn mc_cache_key(
+    nfet: &ModelCard,
+    pfet: &ModelCard,
+    cfg: &McConfig,
+    cell_tag: &str,
+) -> Result<String> {
     let nominal = cache::cache_key(nfet, pfet, &cfg.char_cfg, cell_tag)?;
     let v = &cfg.variation;
     let salt = format!(
@@ -263,8 +268,9 @@ impl McCharacterizer {
             return;
         }
         let write = store.store(cell).and_then(|()| {
-            let payload = serde_json::to_string(moments)
-                .map_err(|e| CellError::Cache(format!("serialize moments for {}: {e}", cell.name)))?;
+            let payload = serde_json::to_string(moments).map_err(|e| {
+                CellError::Cache(format!("serialize moments for {}: {e}", cell.name))
+            })?;
             store.store_blob(&moments_blob_name(&cell.name), &payload)
         });
         if let Err(e) = write {
@@ -283,7 +289,11 @@ impl McCharacterizer {
     /// Run the per-cell sweep over the whole set on `CharConfig::jobs`
     /// workers ([`sched::map`], the nominal characterizer's scheduler) and
     /// return results in cell order.
-    fn process_cells(&self, cells: &[CellNetlist], checkpoint: Option<&CheckpointStore>) -> Vec<McWork> {
+    fn process_cells(
+        &self,
+        cells: &[CellNetlist],
+        checkpoint: Option<&CheckpointStore>,
+    ) -> Vec<McWork> {
         let done = AtomicUsize::new(0);
         sched::map(cells.len(), self.cfg.char_cfg.effective_jobs(), |i| {
             self.progress_line(&done, cells.len(), &cells[i].name);
@@ -570,7 +580,11 @@ mod tests {
         assert_eq!(sigma.cell_rise.index1(), arc.cell_rise.index1());
         assert_eq!(sigma.cell_rise.index2(), arc.cell_rise.index2());
         assert!(sigma.cell_rise.values().iter().any(|&v| v > 0.0));
-        assert!(sigma.cell_rise.values().iter().all(|&v| v.is_finite() && v >= 0.0));
+        assert!(sigma
+            .cell_rise
+            .values()
+            .iter()
+            .all(|&v| v.is_finite() && v >= 0.0));
         assert!(moments.arcs[0].sigma_delay > 0.0);
         assert!(moments.arcs[0].mean_delay > 0.0);
     }

@@ -117,8 +117,18 @@ impl SigmaTransfer {
                     continue;
                 };
                 arc.sigma = Some(ArcSigma {
-                    cell_rise: transfer_table(&arc.cell_rise, &anchor_arc.cell_rise, &sig.cell_rise, ratio),
-                    cell_fall: transfer_table(&arc.cell_fall, &anchor_arc.cell_fall, &sig.cell_fall, ratio),
+                    cell_rise: transfer_table(
+                        &arc.cell_rise,
+                        &anchor_arc.cell_rise,
+                        &sig.cell_rise,
+                        ratio,
+                    ),
+                    cell_fall: transfer_table(
+                        &arc.cell_fall,
+                        &anchor_arc.cell_fall,
+                        &sig.cell_fall,
+                        ratio,
+                    ),
                     rise_transition: transfer_table(
                         &arc.rise_transition,
                         &anchor_arc.rise_transition,
@@ -143,7 +153,12 @@ impl SigmaTransfer {
 /// per-entry relative sigma scaled by `ratio`, or the anchor's scalar
 /// mean relative sigma when the grids are not congruent. Entries are
 /// clamped non-negative so the result always passes the sigma audits.
-fn transfer_table(target_nominal: &Lut2, anchor_nominal: &Lut2, anchor_sigma: &Lut2, ratio: f64) -> Lut2 {
+fn transfer_table(
+    target_nominal: &Lut2,
+    anchor_nominal: &Lut2,
+    anchor_sigma: &Lut2,
+    ratio: f64,
+) -> Lut2 {
     let congruent = anchor_nominal.values().len() == anchor_sigma.values().len()
         && anchor_nominal.values().len() == target_nominal.values().len();
     let values: Vec<f64> = if congruent {
@@ -158,8 +173,16 @@ fn transfer_table(target_nominal: &Lut2, anchor_nominal: &Lut2, anchor_sigma: &L
             .collect()
     } else {
         let a = table_mean(anchor_nominal);
-        let rel = if a > 0.0 { table_mean(anchor_sigma) / a } else { 0.0 };
-        target_nominal.values().iter().map(|&t| (t * rel * ratio).max(0.0)).collect()
+        let rel = if a > 0.0 {
+            table_mean(anchor_sigma) / a
+        } else {
+            0.0
+        };
+        target_nominal
+            .values()
+            .iter()
+            .map(|&t| (t * rel * ratio).max(0.0))
+            .collect()
     };
     Lut2::new(
         target_nominal.index1().to_vec(),
@@ -262,12 +285,18 @@ mod tests {
         let warm = lib(
             "warm",
             300.0,
-            vec![cell("INVx1", 1e-11, Some(0.05)), cell("NAND2x1", 2e-11, Some(0.05))],
+            vec![
+                cell("INVx1", 1e-11, Some(0.05)),
+                cell("NAND2x1", 2e-11, Some(0.05)),
+            ],
         );
         let cold = lib(
             "cold",
             10.0,
-            vec![cell("INVx1", 0.8e-11, Some(0.10)), cell("NAND2x1", 1.6e-11, Some(0.10))],
+            vec![
+                cell("INVx1", 0.8e-11, Some(0.10)),
+                cell("NAND2x1", 1.6e-11, Some(0.10)),
+            ],
         );
         let fit = SigmaTransfer::fit(&warm, &cold).unwrap();
         assert_eq!(fit.probes, 2);

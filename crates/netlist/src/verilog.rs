@@ -11,9 +11,7 @@ use crate::design::Design;
 /// Sanitize a net/instance name into a Verilog identifier (buses like
 /// `a[3]` become escaped identifiers).
 fn ident(name: &str) -> String {
-    if name
-        .chars()
-        .all(|c| c.is_ascii_alphanumeric() || c == '_')
+    if name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
         && !name.starts_with(|c: char| c.is_ascii_digit())
         && !name.is_empty()
     {
@@ -92,10 +90,7 @@ pub fn write_verilog(design: &Design) -> String {
     }
     // Macro blackboxes.
     for m in design.macros() {
-        let mut conns: Vec<String> = vec![format!(
-            ".CLK({})",
-            ident(design.net_name(m.clock))
-        )];
+        let mut conns: Vec<String> = vec![format!(".CLK({})", ident(design.net_name(m.clock)))];
         for (i, net) in m.inputs.iter().enumerate() {
             conns.push(format!(".A{i}({})", ident(design.net_name(*net))));
         }
@@ -164,7 +159,10 @@ mod tests {
     fn instance_count_matches_design() {
         let design = build_soc(&SocConfig::tiny());
         let v = write_verilog(&design);
-        let dff_lines = v.lines().filter(|l| l.trim_start().starts_with("DFFx")).count();
+        let dff_lines = v
+            .lines()
+            .filter(|l| l.trim_start().starts_with("DFFx"))
+            .count();
         let dff_insts = design
             .instances()
             .iter()

@@ -288,7 +288,6 @@ mod tests {
         assert!(d.true_center(3, 0).is_err());
     }
 
-
     #[test]
     fn readout_window_trades_noise_for_relaxation() {
         // Short windows: noisy blobs. Long windows: heavy relaxation tail.
@@ -308,7 +307,10 @@ mod tests {
         let mid = fidelity_at(1.0);
         let long = fidelity_at(25.0);
         assert!(mid > short, "integration beats noise: {mid} vs {short}");
-        assert!(mid > long, "relaxation punishes long windows: {mid} vs {long}");
+        assert!(
+            mid > long,
+            "relaxation punishes long windows: {mid} vs {long}"
+        );
     }
 
     #[test]

@@ -291,7 +291,11 @@ impl Daemon {
         let reap_age = cache::effective_reap_age();
         let mut reaped = cache::reap_stale_tmp(&cfg.flow.cache_dir, reap_age);
         let ckpt_root = cfg.flow.cache_dir.join("checkpoints");
-        for entry in std::fs::read_dir(&ckpt_root).into_iter().flatten().flatten() {
+        for entry in std::fs::read_dir(&ckpt_root)
+            .into_iter()
+            .flatten()
+            .flatten()
+        {
             if entry.file_type().is_ok_and(|t| t.is_dir()) {
                 reaped += cache::reap_stale_tmp(&entry.path(), reap_age);
             }
@@ -361,7 +365,10 @@ impl Daemon {
             registry.jobs.drain().map(|(_, j)| j).collect()
         };
         for job in leftovers {
-            job.broadcast(&proto::ev_error("shutdown", "daemon stopped before this job ran"));
+            job.broadcast(&proto::ev_error(
+                "shutdown",
+                "daemon stopped before this job ran",
+            ));
         }
         let _ = std::fs::remove_file(&self.shared.cfg.socket);
         Ok(self.shared.stats.snapshot())
@@ -510,7 +517,10 @@ fn admit(
 ) {
     let req = shared.next_req();
     let (key, kind, deadline_ms) = match request {
-        Request::Corner { corner, deadline_ms } => {
+        Request::Corner {
+            corner,
+            deadline_ms,
+        } => {
             let flow = CryoFlow::new(shared.cfg.flow.clone());
             match corner_job_key(&flow, &corner) {
                 Ok(key) => (key, JobKind::Corner(corner), deadline_ms),
@@ -536,10 +546,7 @@ fn admit(
                 // request halting at sta300 must not coalesce with (and
                 // truncate) a client's full signoff.
                 Ok(key) => (
-                    format!(
-                        "signoff/{key}/{}",
-                        halt_after.map_or("full", Stage::name)
-                    ),
+                    format!("signoff/{key}/{}", halt_after.map_or("full", Stage::name)),
                     JobKind::Signoff { halt_after },
                     deadline_ms,
                 ),
@@ -777,8 +784,8 @@ fn execute(shared: &Arc<Shared>, job: &Arc<Job>) -> std::result::Result<JobOutpu
                 })),
                 context: Some(format!("serve:{}", job.req)),
             };
-            let sup = Supervisor::new(CryoFlow::new(shared.cfg.flow.clone()), sup_cfg)
-                .with_hooks(hooks);
+            let sup =
+                Supervisor::new(CryoFlow::new(shared.cfg.flow.clone()), sup_cfg).with_hooks(hooks);
             serde_json::to_string(&sup.run()?).expect("reports serialize")
         }
     };

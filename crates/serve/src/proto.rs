@@ -296,7 +296,11 @@ mod tests {
     fn corner_requests_reuse_the_farm_validator() {
         let req = parse_request(r#"{"cmd":"corner","temp":300,"vdd":0.7,"process":"ss"}"#)
             .expect("valid corner");
-        let Request::Corner { corner, deadline_ms } = req else {
+        let Request::Corner {
+            corner,
+            deadline_ms,
+        } = req
+        else {
             panic!("wrong variant");
         };
         assert_eq!(corner.process, Process::Ss);
@@ -305,7 +309,10 @@ mod tests {
 
         // Exactly the farm's rejections, with the farm's error strings.
         for (line, needle) in [
-            (r#"{"cmd":"corner","temp":999,"vdd":0.7}"#, "calibrated range"),
+            (
+                r#"{"cmd":"corner","temp":999,"vdd":0.7}"#,
+                "calibrated range",
+            ),
             (r#"{"cmd":"corner","temp":300,"vdd":0.7005}"#, "1 mV grid"),
             (
                 r#"{"cmd":"corner","temp":300,"vdd":0.7,"process":"fs"}"#,

@@ -36,8 +36,20 @@ fn chain(temp: f64, stages: usize) -> Circuit {
     let mut prev = inn;
     for i in 0..stages {
         let out = c.node(&format!("n{i}"));
-        c.finfet(&format!("MN{i}"), out, prev, GROUND, FinFet::new(&nc, temp, 2));
-        c.finfet(&format!("MP{i}"), out, prev, vdd_n, FinFet::new(&pc, temp, 3));
+        c.finfet(
+            &format!("MN{i}"),
+            out,
+            prev,
+            GROUND,
+            FinFet::new(&nc, temp, 2),
+        );
+        c.finfet(
+            &format!("MP{i}"),
+            out,
+            prev,
+            vdd_n,
+            FinFet::new(&pc, temp, 3),
+        );
         c.capacitor(&format!("CW{i}"), out, GROUND, 0.2e-15);
         prev = out;
     }
@@ -109,7 +121,10 @@ fn main() {
             sum += b[0];
         }
         let per = t.elapsed().as_secs_f64() / reps as f64;
-        println!("LU n={n:2}: clone+factor+solve {:9.1} ns  (sum {sum:.3e})", per * 1e9);
+        println!(
+            "LU n={n:2}: clone+factor+solve {:9.1} ns  (sum {sum:.3e})",
+            per * 1e9
+        );
     }
 
     // 3. Whole transients (the real unit of characterization work).

@@ -60,7 +60,12 @@ pub fn audit_waveform(entity: &str, w: &Waveform, v_bound: f64) -> Vec<SimFindin
     }
     for &v in w.values() {
         if !v.is_finite() {
-            out.push(SimFinding::new(entity, "waveform_finite", v, "finite".into()));
+            out.push(SimFinding::new(
+                entity,
+                "waveform_finite",
+                v,
+                "finite".into(),
+            ));
             break; // one poisoned sample condemns the waveform; don't spam
         }
         if v.abs() > v_bound {

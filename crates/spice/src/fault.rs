@@ -250,9 +250,7 @@ impl FaultPlan {
     /// checked parsers (the tolerant one discards the error).
     fn apply_pair(plan: &mut Self, k: &str, v: &str) -> std::result::Result<(), String> {
         fn prob(k: &str, v: &str) -> std::result::Result<f64, String> {
-            let p: f64 = v
-                .parse()
-                .map_err(|_| format!("`{k}={v}`: not a number"))?;
+            let p: f64 = v.parse().map_err(|_| format!("`{k}={v}`: not a number"))?;
             if !(0.0..=1.0).contains(&p) {
                 return Err(format!("`{k}={v}`: probability outside [0, 1]"));
             }
@@ -314,8 +312,7 @@ impl FaultPlan {
             }
             "scope" => plan.scope = Some(v.to_string()),
             "max" => {
-                plan.max_injections =
-                    Some(v.parse().map_err(|_| format!("`max={v}`: not a u32"))?);
+                plan.max_injections = Some(v.parse().map_err(|_| format!("`max={v}`: not a u32"))?);
             }
             _ => return Err(format!("unknown key `{k}`")),
         }
@@ -809,7 +806,10 @@ pub(crate) fn injected_error(fault: SolveFault, analysis: &'static str) -> Spice
         // NanDevice is not an immediate error — callers arm the poison and
         // let the solver detect the non-finite evaluation — but a fallback
         // mapping keeps the match total.
-        SolveFault::NanDevice => SpiceError::NonFinite { analysis, time: 0.0 },
+        SolveFault::NanDevice => SpiceError::NonFinite {
+            analysis,
+            time: 0.0,
+        },
     }
 }
 
@@ -909,9 +909,15 @@ mod tests {
         let forward = draws(&plan, &["INVx1", "NAND2x1", "DFFx1"]);
         let reverse = draws(&plan, &["DFFx1", "NAND2x1", "INVx1"]);
         assert_eq!(forward[0], reverse[2], "INVx1 stream is order-independent");
-        assert_eq!(forward[1], reverse[1], "NAND2x1 stream is order-independent");
+        assert_eq!(
+            forward[1], reverse[1],
+            "NAND2x1 stream is order-independent"
+        );
         assert_eq!(forward[2], reverse[0], "DFFx1 stream is order-independent");
-        assert_ne!(forward[0], forward[1], "distinct cells draw distinct streams");
+        assert_ne!(
+            forward[0], forward[1],
+            "distinct cells draw distinct streams"
+        );
     }
 
     #[test]
@@ -1005,7 +1011,10 @@ mod tests {
         let plan = FaultPlan::parse_spec("seed=7,corrupt=table,corrupt=delay:0.25,corrupt=vth:0.5")
             .unwrap()
             .unwrap();
-        assert!((plan.corrupt_table - 1.0).abs() < 1e-12, "bare kind means p=1");
+        assert!(
+            (plan.corrupt_table - 1.0).abs() < 1e-12,
+            "bare kind means p=1"
+        );
         assert!((plan.corrupt_delay - 0.25).abs() < 1e-12);
         assert!((plan.corrupt_vth - 0.5).abs() < 1e-12);
         assert!(!plan.corrupt_sticky);
@@ -1166,8 +1175,9 @@ mod tests {
         assert_eq!(a, b);
         assert!(a < 49);
         assert_eq!(corrupt_pick("anything", 1), 0);
-        let distinct: std::collections::HashSet<usize> =
-            (0..16).map(|i| corrupt_pick(&format!("s{i}"), 49)).collect();
+        let distinct: std::collections::HashSet<usize> = (0..16)
+            .map(|i| corrupt_pick(&format!("s{i}"), 49))
+            .collect();
         assert!(distinct.len() > 4, "salts spread across the range");
     }
 }

@@ -245,7 +245,12 @@ mod tests {
             .iter()
             .filter(|f| f.invariant == "path_arrival_consistent")
             .collect();
-        assert_eq!(hits.len(), 1, "no cascade past the bad step: {:?}", a.findings);
+        assert_eq!(
+            hits.len(),
+            1,
+            "no cascade past the bad step: {:?}",
+            a.findings
+        );
         assert_eq!(hits[0].entity, "INVx1/u1[1]");
     }
 

@@ -297,9 +297,7 @@ fn find_sibling<'a>(lib: &'a Library, cell: &str) -> Option<&'a Cell> {
 /// (clamped at ≥ 1 so a weaker donor never makes the stand-in optimistic)
 /// times `1 + margin`.
 fn borrow_scale(cell: &str, donor: &Cell, margin: f64) -> f64 {
-    (f64::from(donor.drive) / f64::from(name_drive(cell).max(1)))
-        .max(1.0)
-        * (1.0 + margin)
+    (f64::from(donor.drive) / f64::from(name_drive(cell).max(1))).max(1.0) * (1.0 + margin)
 }
 
 /// Resolves degraded arcs per the configured policy and records the
@@ -475,7 +473,14 @@ fn analyze_counting(
     // `is_arc` marks seeds that represent a timed launch arc (clk→Q) as
     // opposed to a primary input or macro assumption — only real arcs
     // count toward the per-path sigma-coverage provenance.
-    fn seed(timing: &mut [NetTiming], net: usize, arrival: f64, slew: f64, sigma: f64, is_arc: bool) {
+    fn seed(
+        timing: &mut [NetTiming],
+        net: usize,
+        arrival: f64,
+        slew: f64,
+        sigma: f64,
+        is_arc: bool,
+    ) {
         let t = &mut timing[net];
         if arrival > t.max_arrival {
             t.max_variance = sigma * sigma;
@@ -1067,7 +1072,6 @@ mod tests {
         assert!(r16.fmax() < r4.fmax());
     }
 
-
     #[test]
     fn worst_paths_are_sorted_and_bounded() {
         let lib = synth_lib();
@@ -1094,7 +1098,10 @@ mod tests {
             "first summary is the critical path"
         );
         let total: usize = report.slack_histogram.iter().sum();
-        assert_eq!(total, report.endpoint_count, "every endpoint lands in a bin");
+        assert_eq!(
+            total, report.endpoint_count,
+            "every endpoint lands in a bin"
+        );
     }
 
     #[test]
@@ -1327,13 +1334,27 @@ mod tests {
         };
         let stat = analyze(&d, &lvf_lib, &cfg).unwrap();
         // The nominal numbers are untouched by statistical mode.
-        let plain = analyze(&d, &lvf_lib, &StaConfig { clock_period: 1e-9, ..StaConfig::default() }).unwrap();
+        let plain = analyze(
+            &d,
+            &lvf_lib,
+            &StaConfig {
+                clock_period: 1e-9,
+                ..StaConfig::default()
+            },
+        )
+        .unwrap();
         assert_eq!(stat.critical_path_delay, plain.critical_path_delay);
         assert_eq!(stat.worst_slack, plain.worst_slack);
 
-        let summary = stat.statistical.as_ref().expect("k-sigma mode attaches a summary");
+        let summary = stat
+            .statistical
+            .as_ref()
+            .expect("k-sigma mode attaches a summary");
         assert_eq!(summary.k_sigma, 3.0);
-        assert!(summary.critical_path_sigma > 0.0, "LVF arcs contribute sigma");
+        assert!(
+            summary.critical_path_sigma > 0.0,
+            "LVF arcs contribute sigma"
+        );
         assert!(
             summary.worst_slack_k_sigma < stat.worst_slack,
             "derated slack is strictly tighter: {} vs {}",
@@ -1353,7 +1374,11 @@ mod tests {
         // Provenance: the critical path is fully covered by LVF arcs.
         let worst = &summary.path_sigmas[0];
         assert_eq!(worst.endpoint, stat.worst_paths[0].endpoint);
-        assert!(worst.arcs_total >= 5, "clk→Q + 4 INV stages: {}", worst.arcs_total);
+        assert!(
+            worst.arcs_total >= 5,
+            "clk→Q + 4 INV stages: {}",
+            worst.arcs_total
+        );
         assert_eq!(worst.arcs_with_sigma, worst.arcs_total, "full LVF coverage");
         assert!(worst.slack_k_sigma <= stat.worst_paths[0].slack);
 

@@ -203,11 +203,23 @@ impl Dataset {
             };
             let desc = CellDescriptor::for_cell(warm_cell);
             let mut push_table = |wt: &Lut2, ct: &Lut2, kind: TableKind, edge: Edge| {
-                sample_table(&mut samples, &cold_cell.name, wt, ct, &desc, warm_sc, cold_sc, kind, edge);
+                sample_table(
+                    &mut samples,
+                    &cold_cell.name,
+                    wt,
+                    ct,
+                    &desc,
+                    warm_sc,
+                    cold_sc,
+                    kind,
+                    edge,
+                );
             };
             for (wa, ca) in warm_cell.arcs.iter().zip(&cold_cell.arcs) {
                 let (dk, tk) = match wa.kind {
-                    ArcKind::Setup | ArcKind::Hold => (TableKind::Constraint, TableKind::Constraint),
+                    ArcKind::Setup | ArcKind::Hold => {
+                        (TableKind::Constraint, TableKind::Constraint)
+                    }
                     ArcKind::Combinational | ArcKind::ClockToQ => {
                         (TableKind::Delay, TableKind::Transition)
                     }
@@ -218,8 +230,18 @@ impl Dataset {
                 push_table(&wa.fall_transition, &ca.fall_transition, tk, Edge::Fall);
             }
             for (wp, cp) in warm_cell.power_arcs.iter().zip(&cold_cell.power_arcs) {
-                push_table(&wp.rise_energy, &cp.rise_energy, TableKind::Energy, Edge::Rise);
-                push_table(&wp.fall_energy, &cp.fall_energy, TableKind::Energy, Edge::Fall);
+                push_table(
+                    &wp.rise_energy,
+                    &cp.rise_energy,
+                    TableKind::Energy,
+                    Edge::Rise,
+                );
+                push_table(
+                    &wp.fall_energy,
+                    &cp.fall_energy,
+                    TableKind::Energy,
+                    Edge::Fall,
+                );
             }
         }
         Dataset { samples }
@@ -228,14 +250,24 @@ impl Dataset {
     /// Training-split samples (4 of every 5, by sample index).
     #[must_use]
     pub fn train_split(&self) -> Vec<&ArcSample> {
-        self.samples.iter().enumerate().filter(|(i, _)| i % 5 != 0).map(|(_, s)| s).collect()
+        self.samples
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| i % 5 != 0)
+            .map(|(_, s)| s)
+            .collect()
     }
 
     /// Held-out samples (every 5th) — never seen by SGD, used for the
     /// residual statistics that gate prediction trust.
     #[must_use]
     pub fn holdout_split(&self) -> Vec<&ArcSample> {
-        self.samples.iter().enumerate().filter(|(i, _)| i % 5 == 0).map(|(_, s)| s).collect()
+        self.samples
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| i % 5 == 0)
+            .map(|(_, s)| s)
+            .collect()
     }
 
     /// FNV-64 digest over the exact bit patterns of every feature and
@@ -381,7 +413,11 @@ mod tests {
 
     #[test]
     fn normalizer_maps_into_unit_interval_and_inverts() {
-        let rows = vec![vec![1.0; N_FEATURES], vec![3.0; N_FEATURES], vec![2.0; N_FEATURES]];
+        let rows = vec![
+            vec![1.0; N_FEATURES],
+            vec![3.0; N_FEATURES],
+            vec![2.0; N_FEATURES],
+        ];
         let n = Normalizer::fit(&rows);
         let z = n.normalize(&rows[2]);
         assert!(z.iter().all(|&v| (0.0..=1.0).contains(&v)));

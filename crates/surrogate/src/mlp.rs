@@ -275,7 +275,10 @@ pub fn train(
     dataset_hash: &str,
     store: Option<&CheckpointStore>,
 ) -> TrainOutcome {
-    let xs: Vec<Vec<f64>> = samples.iter().map(|s| norm.normalize(&s.features)).collect();
+    let xs: Vec<Vec<f64>> = samples
+        .iter()
+        .map(|s| norm.normalize(&s.features))
+        .collect();
     let ys: Vec<f64> = samples.iter().map(|s| s.target).collect();
     let mut sizes = vec![N_FEATURES];
     sizes.extend_from_slice(&cfg.hidden);
@@ -398,13 +401,25 @@ fn parse_checkpoint(
     let n_layers = sizes.len() - 1;
     let mut weights = Vec::with_capacity(n_layers);
     for l in 0..n_layers {
-        weights.push(parse_row(lines.next()?, &format!("w{l}"), sizes[l] * sizes[l + 1])?);
+        weights.push(parse_row(
+            lines.next()?,
+            &format!("w{l}"),
+            sizes[l] * sizes[l + 1],
+        )?);
     }
     let mut biases = Vec::with_capacity(n_layers);
     for l in 0..n_layers {
         biases.push(parse_row(lines.next()?, &format!("b{l}"), sizes[l + 1])?);
     }
-    Some((epoch, state, Mlp { sizes, weights, biases }))
+    Some((
+        epoch,
+        state,
+        Mlp {
+            sizes,
+            weights,
+            biases,
+        },
+    ))
 }
 
 /// FNV-1a 64 over a string, 16 lowercase hex digits (the repo-wide digest
@@ -462,7 +477,10 @@ mod tests {
         let samples = toy_samples(200);
         let refs: Vec<&ArcSample> = samples.iter().collect();
         let norm = Normalizer::fit(samples.iter().map(|s| &s.features));
-        let cfg = TrainConfig { epochs: 40, ..TrainConfig::default() };
+        let cfg = TrainConfig {
+            epochs: 40,
+            ..TrainConfig::default()
+        };
         let mut rng = Rng::new(cfg.seed);
         let mut sizes = vec![N_FEATURES];
         sizes.extend_from_slice(&cfg.hidden);
@@ -471,8 +489,15 @@ mod tests {
         let before = mse(&initial, &norm, &refs);
         let a = train(&refs, &norm, &cfg, "d0", None);
         let b = train(&refs, &norm, &cfg, "d0", None);
-        assert!(mse(&a.model, &norm, &refs) < before * 0.2, "loss must drop substantially");
-        assert_eq!(a.model.content_hash(), b.model.content_hash(), "training must be deterministic");
+        assert!(
+            mse(&a.model, &norm, &refs) < before * 0.2,
+            "loss must drop substantially"
+        );
+        assert_eq!(
+            a.model.content_hash(),
+            b.model.content_hash(),
+            "training must be deterministic"
+        );
         assert_eq!(a.epochs_run, 40);
         assert_eq!(a.resumed_from, 0);
     }
@@ -484,7 +509,10 @@ mod tests {
         let samples = toy_samples(120);
         let refs: Vec<&ArcSample> = samples.iter().collect();
         let norm = Normalizer::fit(samples.iter().map(|s| &s.features));
-        let full = TrainConfig { epochs: 30, ..TrainConfig::default() };
+        let full = TrainConfig {
+            epochs: 30,
+            ..TrainConfig::default()
+        };
 
         // Uninterrupted reference run.
         let reference = train(&refs, &norm, &full, "dh", None);
@@ -493,12 +521,21 @@ mod tests {
         // would), then resume toward 30 from the same store. The config
         // hash excludes `epochs`, so both legs share a checkpoint key.
         let store = CheckpointStore::open(&dir, "toy", &full.content_hash()).unwrap();
-        let partial = TrainConfig { epochs: 11, ..full.clone() };
+        let partial = TrainConfig {
+            epochs: 11,
+            ..full.clone()
+        };
         let interrupted = train(&refs, &norm, &partial, "dh", Some(&store));
         assert_eq!(interrupted.epochs_run, 11);
         let resumed = train(&refs, &norm, &full, "dh", Some(&store));
-        assert_eq!(resumed.resumed_from, 11, "resume must pick up the checkpoint");
-        assert_eq!(resumed.epochs_run, 19, "resume must train only the remainder");
+        assert_eq!(
+            resumed.resumed_from, 11,
+            "resume must pick up the checkpoint"
+        );
+        assert_eq!(
+            resumed.epochs_run, 19,
+            "resume must train only the remainder"
+        );
         assert_eq!(
             resumed.model.content_hash(),
             reference.model.content_hash(),
@@ -507,7 +544,10 @@ mod tests {
 
         // Re-running a finished training is a pure no-op.
         let noop = train(&refs, &norm, &full, "dh", Some(&store));
-        assert_eq!(noop.epochs_run, 0, "completed training must not repeat epochs");
+        assert_eq!(
+            noop.epochs_run, 0,
+            "completed training must not repeat epochs"
+        );
         assert_eq!(noop.model.content_hash(), reference.model.content_hash());
         let _ = std::fs::remove_dir_all(&dir);
     }

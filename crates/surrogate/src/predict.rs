@@ -58,7 +58,16 @@ impl Surrogate {
         if warm == 0.0 || !warm.is_finite() {
             return warm;
         }
-        let f = entry_features(warm, slew, load, desc, &self.warm_sc, &self.cold_sc, kind, edge);
+        let f = entry_features(
+            warm,
+            slew,
+            load,
+            desc,
+            &self.warm_sc,
+            &self.cold_sc,
+            kind,
+            edge,
+        );
         apply_ratio(warm, self.model.forward(&self.norm.normalize(&f)))
     }
 
@@ -76,8 +85,14 @@ impl Surrogate {
         for (i, &slew) in slews.iter().enumerate() {
             let mut running = f64::NEG_INFINITY;
             for (j, &load) in loads.iter().enumerate() {
-                let mut v =
-                    self.predict_entry(warm_t.values()[i * loads.len() + j], slew, load, desc, kind, edge);
+                let mut v = self.predict_entry(
+                    warm_t.values()[i * loads.len() + j],
+                    slew,
+                    load,
+                    desc,
+                    kind,
+                    edge,
+                );
                 if monotone_load {
                     running = running.max(v);
                     v = running;
@@ -101,15 +116,25 @@ impl Surrogate {
                 ArcKind::Setup | ArcKind::Hold => (TableKind::Constraint, false),
                 ArcKind::Combinational | ArcKind::ClockToQ => (TableKind::Delay, true),
             };
-            arc.cell_rise = self.predict_table(&arc.cell_rise, &desc, table_kind, Edge::Rise, monotone);
-            arc.cell_fall = self.predict_table(&arc.cell_fall, &desc, table_kind, Edge::Fall, monotone);
-            let tk = if monotone { TableKind::Transition } else { TableKind::Constraint };
-            arc.rise_transition = self.predict_table(&arc.rise_transition, &desc, tk, Edge::Rise, false);
-            arc.fall_transition = self.predict_table(&arc.fall_transition, &desc, tk, Edge::Fall, false);
+            arc.cell_rise =
+                self.predict_table(&arc.cell_rise, &desc, table_kind, Edge::Rise, monotone);
+            arc.cell_fall =
+                self.predict_table(&arc.cell_fall, &desc, table_kind, Edge::Fall, monotone);
+            let tk = if monotone {
+                TableKind::Transition
+            } else {
+                TableKind::Constraint
+            };
+            arc.rise_transition =
+                self.predict_table(&arc.rise_transition, &desc, tk, Edge::Rise, false);
+            arc.fall_transition =
+                self.predict_table(&arc.fall_transition, &desc, tk, Edge::Fall, false);
         }
         for pa in &mut cell.power_arcs {
-            pa.rise_energy = self.predict_table(&pa.rise_energy, &desc, TableKind::Energy, Edge::Rise, false);
-            pa.fall_energy = self.predict_table(&pa.fall_energy, &desc, TableKind::Energy, Edge::Fall, false);
+            pa.rise_energy =
+                self.predict_table(&pa.rise_energy, &desc, TableKind::Energy, Edge::Rise, false);
+            pa.fall_energy =
+                self.predict_table(&pa.fall_energy, &desc, TableKind::Energy, Edge::Fall, false);
         }
         let leak_ratio = self.leakage_ratio();
         for (_, leak) in &mut cell.leakage_states {
@@ -158,7 +183,10 @@ impl Surrogate {
         let mut max = 0.0f64;
         let mut n_holdout = 0usize;
         for (i, s) in dataset.samples.iter().enumerate() {
-            let pred = apply_ratio(s.warm, self.model.forward(&self.norm.normalize(&s.features)));
+            let pred = apply_ratio(
+                s.warm,
+                self.model.forward(&self.norm.normalize(&s.features)),
+            );
             let rel = (pred - s.cold).abs() / s.cold.abs().max(s.warm.abs()).max(TINY);
             let worst = per_cell.entry(s.cell.clone()).or_insert(0.0);
             *worst = worst.max(rel);
@@ -171,7 +199,11 @@ impl Surrogate {
         let stats = ResidualStats {
             n_train: dataset.samples.len() - n_holdout,
             n_holdout,
-            mean_abs_rel_err: if n_holdout > 0 { sum / n_holdout as f64 } else { 0.0 },
+            mean_abs_rel_err: if n_holdout > 0 {
+                sum / n_holdout as f64
+            } else {
+                0.0
+            },
             max_abs_rel_err: max,
         };
         (stats, per_cell)
@@ -277,7 +309,11 @@ mod tests {
         let mut cell = toy_cell();
         cell.arcs[0].rise_transition = Lut2::constant(0.0);
         let pred = sur.predict_cell(&cell);
-        assert!(pred.arcs[0].rise_transition.values().iter().all(|&v| v == 0.0));
+        assert!(pred.arcs[0]
+            .rise_transition
+            .values()
+            .iter()
+            .all(|&v| v == 0.0));
         assert_eq!(pred.pins.len(), cell.pins.len());
         assert_eq!(pred.name, cell.name);
         let r = sur.leakage_ratio();
@@ -300,7 +336,10 @@ mod tests {
         assert!((lib.temperature - 10.0).abs() < 1e-12);
         assert!(!lib.provenance.is_characterized());
         match &lib.provenance {
-            Provenance::Predicted { model_hash, residual } => {
+            Provenance::Predicted {
+                model_hash,
+                residual,
+            } => {
                 assert_eq!(model_hash, &sur.model_hash());
                 assert_eq!(residual.n_holdout, 10);
             }
@@ -332,8 +371,13 @@ mod tests {
             warm,
             cold: -cold_true,
         };
-        let ds = Dataset { samples: vec![sample] };
+        let ds = Dataset {
+            samples: vec![sample],
+        };
         let (_, per_cell) = sur.residuals(&ds);
-        assert!(per_cell["NANDx1"] > 0.9, "sign flip must dominate the residual");
+        assert!(
+            per_cell["NANDx1"] > 0.9,
+            "sign flip must dominate the residual"
+        );
     }
 }

@@ -56,7 +56,11 @@ fn clean_run_is_byte_identical_with_the_firewall_on_or_off() {
         let store = CheckpointStore::open(&dir, "pipeline", &key).unwrap();
         let chain: Vec<String> = Stage::ALL
             .iter()
-            .map(|s| store.load_blob(s.name()).unwrap_or_else(|| panic!("{} blob", s.name())))
+            .map(|s| {
+                store
+                    .load_blob(s.name())
+                    .unwrap_or_else(|| panic!("{} blob", s.name()))
+            })
             .collect();
         blobs.push(chain);
     }
@@ -95,7 +99,10 @@ fn corrupt_table_is_flagged_at_charlib300_with_exact_attribution() {
         "finding must name cell, arc, table, and grid coordinate: {}",
         first.entity
     );
-    assert!(first.observed.starts_with('-'), "observed value is the flipped (negative) delay");
+    assert!(
+        first.observed.starts_with('-'),
+        "observed value is the flipped (negative) delay"
+    );
 }
 
 #[test]
@@ -114,7 +121,9 @@ fn corrupt_delay_passes_per_library_audits_and_is_caught_cross_corner() {
     let findings = &rep.audit.findings;
     assert!(!findings.is_empty(), "corruption must be detected");
     assert!(
-        findings.iter().all(|f| f.stage != "calibrate" && f.stage != "charlib300"),
+        findings
+            .iter()
+            .all(|f| f.stage != "calibrate" && f.stage != "charlib300"),
         "scaled delays must be invisible before the cross-corner audit: {findings:?}"
     );
     let cross = findings
@@ -147,8 +156,7 @@ fn corrupt_vth_is_terminal_at_calibrate_before_any_spice_is_spent() {
             assert!(report
                 .findings
                 .iter()
-                .any(|f| f.invariant == "param_in_calibrated_bounds"
-                    && f.entity.contains("tvth")));
+                .any(|f| f.invariant == "param_in_calibrated_bounds" && f.entity.contains("tvth")));
         }
         other => panic!("expected AuditFailed at calibrate, got {other:?}"),
     }
@@ -184,8 +192,9 @@ fn gated_table_corruption_repairs_only_the_offending_cells() {
     let dir_gate = scratch("repair_gate");
     let gated_flow = flow_at(&dir_gate, Some(plan.clone()), AuditPolicy::Gate, 1);
     let _ = work::take();
-    let (lib_repaired, rep_repaired) =
-        gated_flow.library_with_report(300.0).expect("gated corner repairs");
+    let (lib_repaired, rep_repaired) = gated_flow
+        .library_with_report(300.0)
+        .expect("gated corner repairs");
     let gated_sims = work::take();
     let offenders = rep_repaired.audit.repaired.clone();
     assert!(
@@ -193,7 +202,10 @@ fn gated_table_corruption_repairs_only_the_offending_cells() {
         "the seeded plan must corrupt a strict subset of cells (got {})",
         offenders.len()
     );
-    assert!(rep_repaired.audit.findings.is_empty(), "repair must clear all findings");
+    assert!(
+        rep_repaired.audit.findings.is_empty(),
+        "repair must clear all findings"
+    );
 
     // Measure the repair pass alone: re-characterize exactly the offender
     // set on top of a fully clean library.
@@ -225,8 +237,13 @@ fn gated_table_corruption_repairs_only_the_offending_cells() {
     // jobs = 8 lands on the identical library.
     let dir_par = scratch("repair_jobs8");
     let par_flow = flow_at(&dir_par, Some(plan), AuditPolicy::Gate, 8);
-    let (lib_par, rep_par) = par_flow.library_with_report(300.0).expect("parallel gated corner");
-    assert_eq!(rep_par.audit.repaired, offenders, "same offender set at jobs=8");
+    let (lib_par, rep_par) = par_flow
+        .library_with_report(300.0)
+        .expect("parallel gated corner");
+    assert_eq!(
+        rep_par.audit.repaired, offenders,
+        "same offender set at jobs=8"
+    );
     assert_eq!(
         serde_json::to_string(&lib_par).unwrap(),
         serde_json::to_string(&lib_clean).unwrap(),
@@ -252,7 +269,10 @@ fn gated_cross_corner_corruption_round_trips_through_the_supervisor() {
         !rep.audit.repaired.is_empty(),
         "the cross-corner repair must be recorded"
     );
-    assert!(rep.audit.findings.is_empty(), "no findings survive the repair");
+    assert!(
+        rep.audit.findings.is_empty(),
+        "no findings survive the repair"
+    );
     let verdict = rep.verdict.expect("verdict");
     assert!(
         verdict.cryo_fmax_ratio > 0.8 && verdict.cryo_fmax_ratio < 1.0,

@@ -32,7 +32,10 @@ fn run_range(tag: &str, seeds: std::ops::Range<u64>) -> Vec<DrillLedger> {
     for seed in seeds {
         let ledger = chaos::run_drill(&dir, seed)
             .unwrap_or_else(|e| panic!("durability invariant violated: {e}"));
-        assert!(ledger.passed(), "seed {seed}: ledger did not pass: {ledger:?}");
+        assert!(
+            ledger.passed(),
+            "seed {seed}: ledger did not pass: {ledger:?}"
+        );
         ledgers.push(ledger);
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -83,11 +86,19 @@ fn drill_ledgers_serialize_for_the_ci_artifact() {
 fn schedule_matrix_covers_every_io_fault_and_both_job_counts() {
     // Coverage proof for the full 64-seed CI matrix without running it:
     // schedules are deterministic, so inspecting them is equivalent.
-    let schedules: Vec<ChaosSchedule> =
-        (0..64).map(|s| ChaosSchedule::generate(s, 6)).collect();
-    for kind in ["torn", "shortread", "eio", "enospc", "renamedrop", "fsynclie"] {
+    let schedules: Vec<ChaosSchedule> = (0..64).map(|s| ChaosSchedule::generate(s, 6)).collect();
+    for kind in [
+        "torn",
+        "shortread",
+        "eio",
+        "enospc",
+        "renamedrop",
+        "fsynclie",
+    ] {
         assert!(
-            schedules.iter().any(|s| s.spec.contains(&format!("io={kind}:"))),
+            schedules
+                .iter()
+                .any(|s| s.spec.contains(&format!("io={kind}:"))),
             "64-seed matrix never arms io={kind}"
         );
     }
@@ -97,6 +108,9 @@ fn schedule_matrix_covers_every_io_fault_and_both_job_counts() {
     assert!(schedules.iter().any(|s| s.at_rest_flip));
     assert!(schedules.iter().any(|s| s.spec.contains("tran=")));
     assert!(schedules.iter().any(|s| s.spec.contains("cache=")));
-    assert!(schedules.iter().any(|s| s.kill_after == 6), "full-run kills");
+    assert!(
+        schedules.iter().any(|s| s.kill_after == 6),
+        "full-run kills"
+    );
     assert!(schedules.iter().any(|s| s.kill_after == 1), "early kills");
 }

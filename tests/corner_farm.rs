@@ -26,10 +26,8 @@ fn farm_at(dir: &PathBuf, jobs: usize, min_signed: f64, halt_after: Option<usize
     cfg.jobs = jobs;
     cfg.audit_policy = AuditPolicy::Gate;
     cfg.surrogate_policy = SurrogatePolicy::PredictWithFallback { max_rel_err: BOUND };
-    cfg.fault_plan = FaultPlan::parse_spec(&format!(
-        "seed=11,corrupt=vth:1.0,scope=corner:{SICK}"
-    ))
-    .expect("valid plan");
+    cfg.fault_plan = FaultPlan::parse_spec(&format!("seed=11,corrupt=vth:1.0,scope=corner:{SICK}"))
+        .expect("valid plan");
     let mut fcfg = FarmConfig::new(CornerSpec::parse("T=300,77,10").expect("spec"));
     fcfg.min_signed_frac = min_signed;
     fcfg.halt_after = halt_after;
@@ -81,7 +79,10 @@ fn poisoned_farm_degrades_signs_and_resumes_byte_identically() {
         r0.from_checkpoint && r0.dc_solves + r0.tran_solves + r0.arc_evals == 0,
         "the anchor must resume with zero work: {r0:?}"
     );
-    assert_eq!(&run2.report.corners[0], anchor, "resumed outcome is identical");
+    assert_eq!(
+        &run2.report.corners[0], anchor,
+        "resumed outcome is identical"
+    );
 
     let sick = &run2.report.corners[1];
     assert_eq!(sick.name, SICK);
@@ -116,8 +117,7 @@ fn poisoned_farm_degrades_signs_and_resumes_byte_identically() {
     let report_json = serde_json::to_string(&run2.report).expect("report serializes");
 
     // The farm manifest names what this namespace was building.
-    let store =
-        CheckpointStore::open(&dir, "farm", &farm.farm_key().expect("key")).expect("store");
+    let store = CheckpointStore::open(&dir, "farm", &farm.farm_key().expect("key")).expect("store");
     let manifest = store.load_blob("manifest").expect("manifest blob");
     assert!(manifest.contains("tt_0p70v_77k") && manifest.contains("T=300,77,10"));
 

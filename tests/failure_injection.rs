@@ -6,9 +6,7 @@
 
 use std::collections::BTreeSet;
 
-use cryo_soc::cells::{
-    cache, topology, CellStatus, CharConfig, Characterizer, CheckpointStore,
-};
+use cryo_soc::cells::{cache, topology, CellStatus, CharConfig, Characterizer, CheckpointStore};
 use cryo_soc::device::{FinFet, ModelCard, Polarity};
 use cryo_soc::liberty::{LibertyError, Library, Lut2};
 use cryo_soc::netlist::{build_soc, DesignBuilder, NetlistError, SocConfig};
@@ -17,8 +15,8 @@ use cryo_soc::riscv::asm::assemble;
 use cryo_soc::riscv::cpu::Cpu;
 use cryo_soc::riscv::RiscvError;
 use cryo_soc::spice::{
-    dc_operating_point, fault, transient, work, Circuit, FaultPlan, Source, SpiceError,
-    TranConfig, GROUND,
+    dc_operating_point, fault, transient, work, Circuit, FaultPlan, Source, SpiceError, TranConfig,
+    GROUND,
 };
 use cryo_soc::sta::{analyze, StaConfig, StaError};
 use proptest::prelude::*;
@@ -351,14 +349,23 @@ fn interrupted_run_resumes_without_resimulating() {
 
     // "Interrupted" first run: only the first cell reached the checkpoint.
     let (_, report) = engine.characterize_library_robust("mini", &cells[..1], Some(&store));
-    assert_eq!(report.outcome("INVx1").unwrap().status, CellStatus::Characterized);
+    assert_eq!(
+        report.outcome("INVx1").unwrap().status,
+        CellStatus::Characterized
+    );
 
     // Restarted run resumes the finished cell and characterizes the rest.
     let (lib, report) = engine.characterize_library_robust("mini", &cells, Some(&store));
     assert_eq!(lib.len(), 3);
     assert_eq!(report.outcome("INVx1").unwrap().status, CellStatus::Resumed);
-    assert_eq!(report.outcome("INVx2").unwrap().status, CellStatus::Characterized);
-    assert_eq!(report.outcome("NAND2x1").unwrap().status, CellStatus::Characterized);
+    assert_eq!(
+        report.outcome("INVx2").unwrap().status,
+        CellStatus::Characterized
+    );
+    assert_eq!(
+        report.outcome("NAND2x1").unwrap().status,
+        CellStatus::Characterized
+    );
 
     // A third run finds everything checkpointed: zero SPICE invocations.
     let _ = work::take();

@@ -185,8 +185,15 @@ mod degraded {
         let rt = analyze(&d, &back, &cfg).expect("round-tripped STA completes");
         assert_eq!(rt.degraded_arcs.len(), direct.degraded_arcs.len());
         for (a, b) in direct.degraded_arcs.iter().zip(&rt.degraded_arcs) {
-            assert_eq!((&a.instance, &a.pin, &a.cause), (&b.instance, &b.pin, &b.cause));
-            assert_eq!(a.resolution, b.resolution, "{}: provenance drifted", a.instance);
+            assert_eq!(
+                (&a.instance, &a.pin, &a.cause),
+                (&b.instance, &b.pin, &b.cause)
+            );
+            assert_eq!(
+                a.resolution, b.resolution,
+                "{}: provenance drifted",
+                a.instance
+            );
             assert!(
                 (a.assumed_delay - b.assumed_delay).abs() < 1e-6 * a.assumed_delay.abs(),
                 "{}: {} vs {}",
@@ -197,7 +204,10 @@ mod degraded {
         }
         let rel = (rt.critical_path_delay - direct.critical_path_delay).abs()
             / direct.critical_path_delay;
-        assert!(rel < 1e-6, "critical path drifted {rel:e} across the format");
+        assert!(
+            rel < 1e-6,
+            "critical path drifted {rel:e} across the format"
+        );
 
         // Fail policy still refuses the same library.
         let strict = StaConfig::default();

@@ -66,8 +66,16 @@ fn mc_libraries_are_byte_identical_across_job_counts() {
     let cells = cell_set();
     let run = |jobs: usize| {
         let (lib, rep) = engine(300.0, 4, jobs).characterize_library("mc", &cells, None);
-        assert!(rep.failed.is_empty(), "clean run must not fail cells: {:?}", rep.failed);
-        (serde_json::to_string(&lib).unwrap(), write_library(&lib), rep)
+        assert!(
+            rep.failed.is_empty(),
+            "clean run must not fail cells: {:?}",
+            rep.failed
+        );
+        (
+            serde_json::to_string(&lib).unwrap(),
+            write_library(&lib),
+            rep,
+        )
     };
     let (json1, lib1, rep1) = run(1);
     let (json8, lib8, rep8) = run(8);
@@ -75,7 +83,10 @@ fn mc_libraries_are_byte_identical_across_job_counts() {
         json1, json8,
         "jobs=1 and jobs=8 must serialize to identical bytes"
     );
-    assert_eq!(lib1, lib8, "emitted Liberty LVF text must match byte for byte");
+    assert_eq!(
+        lib1, lib8,
+        "emitted Liberty LVF text must match byte for byte"
+    );
     assert_eq!(rep1.cells, rep8.cells, "pooled moments must match exactly");
 }
 
@@ -95,7 +106,10 @@ fn mc_byte_identity_survives_an_active_fault_plan() {
     let run = |jobs: usize| {
         let _g = fault::install_guard(plan.clone());
         let (lib, rep) = engine(300.0, 3, jobs).characterize_library("mc_faulted", &cells, None);
-        assert!(rep.failed.is_empty(), "recoverable faults must not fail cells");
+        assert!(
+            rep.failed.is_empty(),
+            "recoverable faults must not fail cells"
+        );
         (serde_json::to_string(&lib).unwrap(), rep)
     };
     let (lib1, rep1) = run(1);
@@ -114,7 +128,11 @@ fn killed_mc_run_resumes_with_zero_resimulation() {
     let pfet = ModelCard::nominal(Polarity::P);
     let cells = cell_set();
     let mc = |jobs: usize| {
-        McCharacterizer::new(&nfet, &pfet, McConfig::new(4, 0xC0FFEE, tiny_cfg(300.0, jobs)))
+        McCharacterizer::new(
+            &nfet,
+            &pfet,
+            McConfig::new(4, 0xC0FFEE, tiny_cfg(300.0, jobs)),
+        )
     };
     let key = mc_cache_key(&nfet, &pfet, mc(1).config(), "mc_lvf_test").unwrap();
     let store = CheckpointStore::open(&dir, "mc300", &key).unwrap();

@@ -6,9 +6,7 @@
 use std::path::PathBuf;
 use std::thread;
 
-use cryo_soc::core::supervise::{
-    CancelToken, RunHooks, Stage, Supervisor, SupervisorConfig,
-};
+use cryo_soc::core::supervise::{CancelToken, RunHooks, Stage, Supervisor, SupervisorConfig};
 use cryo_soc::core::{CoreError, CryoFlow, FlowConfig};
 use cryo_soc::serve::{event_kind, Client, Daemon, ServeConfig, ServeStats};
 use serde::Value;
@@ -80,7 +78,10 @@ fn concurrent_duplicates_coalesce_into_one_byte_identical_job() {
     }
     let done: Value = serde_json::parse(&lines[0]).expect("done parses");
     assert_eq!(event_kind(&done), "done");
-    assert!(done.get("digest").as_str().is_some(), "done carries a digest");
+    assert!(
+        done.get("digest").as_str().is_some(),
+        "done carries a digest"
+    );
     assert!(
         done.get("tran_solves").as_f64().unwrap_or(0.0) > 0.0,
         "the one executed job characterized for real"
@@ -174,7 +175,10 @@ fn disconnect_cancels_a_job_nobody_is_waiting_for() {
     };
     // Exactly one job lost all subscribers; the coalesced one still has
     // `keep` attached and must stay live.
-    assert!((cancelled - 1.0).abs() < f64::EPSILON, "cancelled = {cancelled}");
+    assert!(
+        (cancelled - 1.0).abs() < f64::EPSILON,
+        "cancelled = {cancelled}"
+    );
     let stats = shut_down(&socket, handle);
     assert_eq!(stats.cancelled, 1, "{stats:?}");
 }

@@ -126,11 +126,21 @@ fn interrupted_training_resumes_with_zero_repeated_epochs() {
         epochs: 11,
         ..TrainConfig::default()
     };
-    let (_, out1, _) = fit(&warm, &cold, warm_sc, cold_sc, &interrupted_cfg, Some(&store));
+    let (_, out1, _) = fit(
+        &warm,
+        &cold,
+        warm_sc,
+        cold_sc,
+        &interrupted_cfg,
+        Some(&store),
+    );
     assert_eq!(out1.epochs_run, 11, "the interrupted leg runs 11 epochs");
 
     let (resumed, out2, _) = fit(&warm, &cold, warm_sc, cold_sc, &full_cfg, Some(&store));
-    assert_eq!(out2.resumed_from, 11, "resume must pick up at the kill point");
+    assert_eq!(
+        out2.resumed_from, 11,
+        "resume must pick up at the kill point"
+    );
     assert_eq!(
         out2.epochs_run,
         full_cfg.epochs - 11,
@@ -239,7 +249,9 @@ fn poisoned_probe_falls_back_to_spice_for_exactly_the_distrusted_cell() {
     // characterization — corrupting XOR2x1's ground truth, not its
     // prediction.
     let dir = scratch("fb_poison");
-    let (warm, _) = flow_at(&dir, 1).library_with_report(300.0).expect("warm primed");
+    let (warm, _) = flow_at(&dir, 1)
+        .library_with_report(300.0)
+        .expect("warm primed");
     let mut cfg = FlowConfig::fast(&dir);
     cfg.audit_policy = cryo_soc::core::AuditPolicy::Warn;
     cfg.surrogate_policy = SurrogatePolicy::Off;
@@ -263,7 +275,11 @@ fn poisoned_probe_falls_back_to_spice_for_exactly_the_distrusted_cell() {
     );
     for o in &rep.outcomes {
         if o.name == "XOR2x1" {
-            assert_ne!(o.status, CellStatus::Predicted, "the fallback cell is SPICE");
+            assert_ne!(
+                o.status,
+                CellStatus::Predicted,
+                "the fallback cell is SPICE"
+            );
         } else {
             assert!(
                 o.status == CellStatus::Predicted && o.attempts == 0,
@@ -307,7 +323,10 @@ fn supervised_pipeline_signs_off_a_predicted_corner_and_resumes_it() {
         "predicted corner must pass the audit firewall: {:?}",
         rep.audit
     );
-    let sum = rep.surrogate.clone().expect("pipeline report lifts the surrogate summary");
+    let sum = rep
+        .surrogate
+        .clone()
+        .expect("pipeline report lifts the surrogate summary");
     assert!(sum.predicted > 0 && sum.fallbacks.is_empty());
     let json = serde_json::to_string(&rep).expect("report serializes");
     assert!(
