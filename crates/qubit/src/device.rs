@@ -1,5 +1,7 @@
 //! The virtual quantum device: per-qubit dispersive-readout model.
 
+use std::iter::Take;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -118,11 +120,57 @@ impl QuantumDevice {
     ///
     /// [`QubitError::QubitOutOfRange`].
     pub fn true_center(&self, qubit: usize, state: u8) -> Result<IqPoint> {
-        let q = self.qubits.get(qubit).ok_or(QubitError::QubitOutOfRange {
-            qubit,
-            count: self.qubits.len(),
-        })?;
+        let q = self.params(qubit)?;
         Ok(if state == 0 { q.c0 } else { q.c1 })
+    }
+
+    fn params(&self, qubit: usize) -> Result<QubitReadout> {
+        self.qubits
+            .get(qubit)
+            .copied()
+            .ok_or(QubitError::QubitOutOfRange {
+                qubit,
+                count: self.qubits.len(),
+            })
+    }
+
+    /// The shot stream of `qubit` prepared in `state`, integrated over
+    /// `window` times the nominal window. `mix` enters the seed alongside
+    /// the qubit and the state.
+    fn stream(&self, qubit: usize, state: u8, window: f64, mix: u64) -> Result<ShotStream> {
+        let q = self.params(qubit)?;
+        Ok(ShotStream {
+            rng: StdRng::seed_from_u64(
+                self.seed
+                    ^ (qubit as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    ^ (u64::from(state) << 60)
+                    ^ mix,
+            ),
+            center: if state == 0 { q.c0 } else { q.c1 },
+            sigma: q.sigma / window.sqrt(),
+            chord: (state == 1).then_some((q.c0, q.c1)),
+            relax: (q.relax * window).min(0.9),
+        })
+    }
+
+    /// The points of [`QuantumDevice::readout`]: the nominal window, where
+    /// `sigma / sqrt(1.0)` and `relax * 1.0` are the qubit's own values bit
+    /// for bit (`relax` is below 0.04, so the 0.9 cap never applies).
+    fn points(&self, qubit: usize, state: u8, shots: usize) -> Result<Take<ShotStream>> {
+        Ok(self
+            .stream(qubit, state, 1.0, (shots as u64).rotate_left(17))?
+            .take(shots))
+    }
+
+    /// Mean point of [`QuantumDevice::readout`]`(qubit, state, shots)`, bit
+    /// for bit, without storing a shot: the points are summed in shot order
+    /// from `Iterator::sum`'s start value for floats, `-0.0`.
+    pub(crate) fn readout_mean(&self, qubit: usize, state: u8, shots: usize) -> Result<IqPoint> {
+        let (i, q) = self
+            .points(qubit, state, shots)?
+            .fold((-0.0, -0.0), |(i, q), p| (i + p.i, q + p.q));
+        let n = shots.max(1) as f64;
+        Ok(IqPoint::new(i / n, q / n))
     }
 
     /// Generate `shots` readout shots of `qubit` prepared in `state`.
@@ -131,46 +179,22 @@ impl QuantumDevice {
     ///
     /// [`QubitError::QubitOutOfRange`].
     pub fn readout(&self, qubit: usize, state: u8, shots: usize) -> Result<Vec<Shot>> {
-        let q = *self.qubits.get(qubit).ok_or(QubitError::QubitOutOfRange {
-            qubit,
-            count: self.qubits.len(),
-        })?;
-        let mut rng = StdRng::seed_from_u64(
-            self.seed
-                ^ (qubit as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                ^ (u64::from(state) << 60)
-                ^ (shots as u64).rotate_left(17),
-        );
-        let mut out = Vec::with_capacity(shots);
-        for _ in 0..shots {
-            let center = if state == 0 { q.c0 } else { q.c1 };
-            // Box-Muller Gaussian noise.
-            let (u1, u2): (f64, f64) = (rng.gen_range(1e-12..1.0), rng.gen_range(0.0..1.0));
-            let r = (-2.0 * u1.ln()).sqrt() * q.sigma;
-            let theta = std::f64::consts::TAU * u2;
-            let mut point = IqPoint::new(center.i + r * theta.cos(), center.q + r * theta.sin());
-            // Relaxation during readout drags some |1⟩ shots toward c0.
-            if state == 1 && rng.gen::<f64>() < q.relax {
-                let f: f64 = rng.gen();
-                point = IqPoint::new(
-                    q.c0.i + f * (q.c1.i - q.c0.i),
-                    q.c0.q + f * (q.c1.q - q.c0.q),
-                );
-            }
-            out.push(Shot {
+        Ok(self
+            .points(qubit, state, shots)?
+            .map(|point| Shot {
                 qubit,
                 prepared: state,
                 point,
-            });
-        }
-        Ok(out)
+            })
+            .collect())
     }
 
     /// Readout with an explicit integration window (the paper's boxcar
     /// integrator, Sec. II): longer integration averages down the amplifier
     /// noise (`sigma ∝ 1/sqrt(t)`) but exposes the qubit to more relaxation
-    /// (`p_relax ∝ t`). `window` is relative to the nominal window (1.0
-    /// reproduces [`QuantumDevice::readout`]).
+    /// (`p_relax ∝ t`). `window` is relative to the nominal window: 1.0 has
+    /// [`QuantumDevice::readout`]'s noise and relaxation, but the window
+    /// enters the seed, so it draws a different stream of shots.
     ///
     /// # Errors
     ///
@@ -185,40 +209,16 @@ impl QuantumDevice {
         if window <= 0.0 || !window.is_finite() {
             return Err(QubitError::InvalidWindow { window });
         }
-        let q = *self.qubits.get(qubit).ok_or(QubitError::QubitOutOfRange {
-            qubit,
-            count: self.qubits.len(),
-        })?;
-        let mut rng = StdRng::seed_from_u64(
-            self.seed
-                ^ (qubit as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                ^ (u64::from(state) << 60)
-                ^ ((window * 4096.0) as u64).rotate_left(23)
-                ^ (shots as u64).rotate_left(17),
-        );
-        let sigma = q.sigma / window.sqrt();
-        let relax = (q.relax * window).min(0.9);
-        let mut out = Vec::with_capacity(shots);
-        for _ in 0..shots {
-            let center = if state == 0 { q.c0 } else { q.c1 };
-            let (u1, u2): (f64, f64) = (rng.gen_range(1e-12..1.0), rng.gen_range(0.0..1.0));
-            let r = (-2.0 * u1.ln()).sqrt() * sigma;
-            let theta = std::f64::consts::TAU * u2;
-            let mut point = IqPoint::new(center.i + r * theta.cos(), center.q + r * theta.sin());
-            if state == 1 && rng.gen::<f64>() < relax {
-                let f: f64 = rng.gen();
-                point = IqPoint::new(
-                    q.c0.i + f * (q.c1.i - q.c0.i),
-                    q.c0.q + f * (q.c1.q - q.c0.q),
-                );
-            }
-            out.push(Shot {
+        let mix = ((window * 4096.0) as u64).rotate_left(23) ^ (shots as u64).rotate_left(17);
+        Ok(self
+            .stream(qubit, state, window, mix)?
+            .take(shots)
+            .map(|point| Shot {
                 qubit,
                 prepared: state,
                 point,
-            });
-        }
-        Ok(out)
+            })
+            .collect())
     }
 
     /// One labelled measurement per qubit (a "readout round"): qubit `i`'s
@@ -233,13 +233,61 @@ impl QuantumDevice {
         (0..self.len())
             .map(|qubit| {
                 let state = u8::from(rng.gen::<bool>());
-                let mut s = self.readout(qubit, state, 1).expect("qubit in range")[0];
+                let mut point = self
+                    .points(qubit, state, 1)
+                    .expect("qubit in range")
+                    .next()
+                    .expect("one shot");
                 // Per-round jitter so repeated rounds differ slightly.
                 let jit: f64 = rng.gen_range(-1e-9..1e-9);
-                s.point.i += jit;
-                s
+                point.i += jit;
+                Shot {
+                    qubit,
+                    prepared: state,
+                    point,
+                }
             })
             .collect()
+    }
+}
+
+/// The I/Q points of one `(qubit, state)` shot stream, drawn on demand.
+///
+/// Every shot draws two uniforms for Box–Muller noise around the prepared
+/// state's center. A prepared |1⟩ then draws once more to decide whether
+/// it relaxed mid-readout, and a relaxed shot draws where it landed on the
+/// c0–c1 chord.
+struct ShotStream {
+    rng: StdRng,
+    center: IqPoint,
+    sigma: f64,
+    /// `(c0, c1)` for a prepared |1⟩; `None` for a state that cannot relax.
+    chord: Option<(IqPoint, IqPoint)>,
+    relax: f64,
+}
+
+impl Iterator for ShotStream {
+    type Item = IqPoint;
+
+    fn next(&mut self) -> Option<IqPoint> {
+        let (u1, u2): (f64, f64) = (self.rng.gen_range(1e-12..1.0), self.rng.gen_range(0.0..1.0));
+        // Relaxation during readout drags some |1⟩ shots toward c0.
+        if let Some((c0, c1)) = self.chord {
+            if self.rng.gen::<f64>() < self.relax {
+                let f: f64 = self.rng.gen();
+                return Some(IqPoint::new(
+                    c0.i + f * (c1.i - c0.i),
+                    c0.q + f * (c1.q - c0.q),
+                ));
+            }
+        }
+        // Box-Muller Gaussian noise.
+        let r = (-2.0 * u1.ln()).sqrt() * self.sigma;
+        let theta = std::f64::consts::TAU * u2;
+        Some(IqPoint::new(
+            self.center.i + r * theta.cos(),
+            self.center.q + r * theta.sin(),
+        ))
     }
 }
 

@@ -257,9 +257,26 @@ impl<'a> Iterator for Items<'a> {
 }
 
 fn tokenize_line(raw: &str) -> Items<'_> {
-    Items {
-        rest: raw.split(['#', ';']).next().unwrap_or("").trim(),
-    }
+    // A comment starts at the first `#` or `;`. Cutting at a byte index is
+    // safe: an ASCII byte never occurs inside a multi-byte UTF-8 character.
+    let code = raw
+        .bytes()
+        .position(|b| b == b'#' || b == b';')
+        .map_or(raw, |cut| &raw[..cut]);
+    Items { rest: code.trim() }
+}
+
+/// The count operand of `.zero` (bytes) or `.align` (a power of two): a
+/// decimal or `0x` hex literal, the literals `.dword` takes. A missing,
+/// negative or non-literal count is an error, not a silent zero.
+fn count(name: &str, mut args: Operands<'_>, line: usize) -> Result<u64> {
+    args.next()
+        .and_then(unsigned_literal)
+        .map(|v| v as u64)
+        .ok_or_else(|| RiscvError::Asm {
+            line,
+            reason: format!(".{name} needs a count: a decimal or 0x hex literal"),
+        })
 }
 
 /// Number of instruction words a (possibly pseudo) mnemonic expands to.
@@ -319,7 +336,7 @@ pub fn assemble(source: &str) -> Result<Program> {
                         let addr = if section == Section::Text { tpc } else { dpc };
                         labels.insert(name.to_string(), addr);
                     }
-                    Line::Directive { name, mut args } => match name {
+                    Line::Directive { name, args } => match name {
                         "text" => section = Section::Text,
                         "data" => section = Section::Data,
                         "dword" | "word" | "byte" | "zero" | "align" => {
@@ -327,15 +344,18 @@ pub fn assemble(source: &str) -> Result<Program> {
                                 "dword" => dpc.checked_add(8 * args.count() as u64),
                                 "word" => dpc.checked_add(4 * args.count() as u64),
                                 "byte" => dpc.checked_add(args.count() as u64),
-                                "zero" => dpc.checked_add(
-                                    args.next().and_then(|a| a.parse::<u64>().ok()).unwrap_or(0),
-                                ),
-                                // `.align` pads only the data section.
-                                _ if section == Section::Text => Some(dpc),
+                                "zero" => dpc.checked_add(count(name, args, lineno + 1)?),
                                 _ => {
-                                    let a = args.next().and_then(|s| s.parse::<u32>().ok());
-                                    let m = 1u64.checked_shl(a.unwrap_or(3));
-                                    m.and_then(|m| dpc.checked_next_multiple_of(m))
+                                    let a = count(name, args, lineno + 1)?;
+                                    // `.align` pads only the data section.
+                                    if section == Section::Text {
+                                        Some(dpc)
+                                    } else {
+                                        u32::try_from(a)
+                                            .ok()
+                                            .and_then(|a| 1u64.checked_shl(a))
+                                            .and_then(|m| dpc.checked_next_multiple_of(m))
+                                    }
                                 }
                             };
                             dpc = end.filter(|&end| end <= MEM_SIZE as u64).ok_or_else(|| {
@@ -367,7 +387,7 @@ pub fn assemble(source: &str) -> Result<Program> {
         for item in tokenize_line(raw) {
             match item {
                 Line::Label(_) => {}
-                Line::Directive { name, mut args } => match name {
+                Line::Directive { name, args } => match name {
                     "text" => section = Section::Text,
                     "data" => section = Section::Data,
                     "dword" => {
@@ -389,15 +409,13 @@ pub fn assemble(source: &str) -> Result<Program> {
                         }
                     }
                     "zero" => {
-                        let n = args
-                            .next()
-                            .and_then(|a| a.parse::<usize>().ok())
-                            .unwrap_or(0);
+                        let n = count(name, args, line)? as usize;
                         data.extend(std::iter::repeat_n(0u8, n));
                     }
                     "align" => {
+                        let a = count(name, args, line)?;
                         if section == Section::Data {
-                            let a = args.next().and_then(|s| s.parse::<u32>().ok()).unwrap_or(3);
+                            // The label pass checked that the shift fits.
                             let m = 1usize << a;
                             while !(data_base as usize + data.len()).is_multiple_of(m) {
                                 data.push(0);
@@ -938,6 +956,23 @@ mod tests {
             "{:?}",
             past.map(|p| p.data.len())
         );
+    }
+
+    #[test]
+    fn zero_takes_a_hex_count() {
+        let p = assemble(".data\nx: .zero 0x10\ny: .byte 1").unwrap();
+        assert_eq!(p.label("y"), Some(p.data_base + 16));
+        assert_eq!(p.data.len(), 17);
+    }
+
+    #[test]
+    fn malformed_zero_and_align_counts_are_errors() {
+        for bad in [".zero sixteen", ".zero -4", ".zero", ".align x", ".align"] {
+            let src = format!(".data\nx: .byte 1\n{bad}\ny: .byte 2");
+            assert_eq!(asm_error_line(&src), 3, "{bad}");
+        }
+        // In the text section too, where `.align` pads nothing.
+        assert_eq!(asm_error_line("nop\n.align x\necall"), 2);
     }
 
     #[test]

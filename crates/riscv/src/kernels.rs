@@ -18,12 +18,40 @@
 //! Results land in the `out` byte array (label `out`), one label per
 //! measurement.
 
+use std::fmt::Write as _;
+
 /// Number of quantization levels per I/Q axis (32 item hypervectors total,
 /// as in the paper).
 pub const HDC_LEVELS: usize = 16;
 
-fn fbits(v: f64) -> String {
-    format!("0x{:016x}", v.to_bits())
+/// Bytes of one `.dword` data row of two and of four words, as [`row2`]
+/// and [`row4`] write them.
+const ROW2: usize = "    .dword 0x0123456789abcdef, 0x0123456789abcdef\n".len();
+const ROW4: usize = ROW2 + ", 0x0123456789abcdef, 0x0123456789abcdef".len();
+/// Room for the data labels and the `.zero` line after the rows.
+const LABELS: usize = 128;
+
+/// Append one `.dword` row of two words.
+fn row2(s: &mut String, a: u64, b: u64) {
+    let _ = writeln!(s, "    .dword 0x{a:016x}, 0x{b:016x}");
+}
+
+/// Append one `.dword` row of four words.
+fn row4(s: &mut String, [a, b, c, d]: [u64; 4]) {
+    let _ = writeln!(
+        s,
+        "    .dword 0x{a:016x}, 0x{b:016x}, 0x{c:016x}, 0x{d:016x}"
+    );
+}
+
+/// Append the `meas` table (each point's I and Q bits) and the `out`
+/// array of one label byte per measurement.
+fn meas_and_out(s: &mut String, meas: &[(f64, f64)]) {
+    s.push_str("meas:\n");
+    for (x, y) in meas {
+        row2(s, x.to_bits(), y.to_bits());
+    }
+    let _ = writeln!(s, "out:\n    .zero {}", meas.len());
 }
 
 /// Generate the kNN classification program.
@@ -53,8 +81,7 @@ pub fn knn_source_rounds(centers: &[[f64; 4]], meas: &[(f64, f64)], rounds: u64)
     assert!(!centers.is_empty(), "need at least one qubit");
     assert!(rounds > 0, "at least one round");
     let n = centers.len();
-    let mut s = String::new();
-    s.push_str(&format!(
+    let mut s = format!(
         ".text
     li s0, {rounds}
 knn_round:
@@ -92,21 +119,12 @@ knn_loop:
 .data
 cal:
 "
-    ));
+    );
+    s.reserve(n * (ROW4 + ROW2) + LABELS);
     for c in centers {
-        s.push_str(&format!(
-            "    .dword {}, {}, {}, {}\n",
-            fbits(c[0]),
-            fbits(c[1]),
-            fbits(c[2]),
-            fbits(c[3])
-        ));
+        row4(&mut s, c.map(f64::to_bits));
     }
-    s.push_str("meas:\n");
-    for (x, y) in meas {
-        s.push_str(&format!("    .dword {}, {}\n", fbits(*x), fbits(*y)));
-    }
-    s.push_str(&format!("out:\n    .zero {n}\n"));
+    meas_and_out(&mut s, meas);
     s
 }
 
@@ -179,19 +197,15 @@ pub fn hdc_source_rounds(
     assert!(!centers.is_empty());
     let n = centers.len();
     let max_level = HDC_LEVELS as i64 - 1;
-    let popcount = |tag: &str| -> String {
-        let _ = tag;
-        if use_cpop {
-            "    cpop a4, a4\n".to_string()
-        } else {
-            // Without Zbb, compilers lower popcount to a `__popcountdi2`
-            // library call — the call overhead is part of the paper's HDC
-            // cost.
-            "    call popcount64\n".to_string()
-        }
+    let popcount = if use_cpop {
+        "    cpop a4, a4\n"
+    } else {
+        // Without Zbb, compilers lower popcount to a `__popcountdi2`
+        // library call — the call overhead is part of the paper's HDC
+        // cost.
+        "    call popcount64\n"
     };
-    let mut s = String::new();
-    s.push_str(&format!(
+    let mut s = format!(
         ".text
     li s0, {rounds}
     la t6, qparams
@@ -249,15 +263,15 @@ qy_hi:
     ld a4, 0(a0)
     xor a4, a4, t2
 "
-    ));
-    s.push_str(&popcount("c0lo"));
+    );
+    s.push_str(popcount);
     s.push_str(
         "    mv a5, a4
     ld a4, 8(a0)
     xor a4, a4, t3
 ",
     );
-    s.push_str(&popcount("c0hi"));
+    s.push_str(popcount);
     s.push_str(
         "    add a5, a5, a4       # d0
     # --- Hamming to class 1 ---
@@ -265,14 +279,14 @@ qy_hi:
     xor a4, a4, t2
 ",
     );
-    s.push_str(&popcount("c1lo"));
+    s.push_str(popcount);
     s.push_str(
         "    mv a6, a4
     ld a4, 24(a0)
     xor a4, a4, t3
 ",
     );
-    s.push_str(&popcount("c1hi"));
+    s.push_str(popcount);
     s.push_str(
         "    add a6, a6, a4       # d1
     slt t0, a6, a5        # label = (d1 < d0)
@@ -299,30 +313,21 @@ masks:
 qparams:
 ",
     );
-    s.push_str(&format!(
-        "    .dword {}, {}\nitems_x:\n",
-        fbits(qmin),
-        fbits(qscale)
-    ));
+    s.reserve((2 * HDC_LEVELS + 1 + n) * ROW2 + n * ROW4 + LABELS);
+    row2(&mut s, qmin.to_bits(), qscale.to_bits());
+    s.push_str("items_x:\n");
     for hv in items_x {
-        s.push_str(&format!("    .dword 0x{:016x}, 0x{:016x}\n", hv[0], hv[1]));
+        row2(&mut s, hv[0], hv[1]);
     }
     s.push_str("items_y:\n");
     for hv in items_y {
-        s.push_str(&format!("    .dword 0x{:016x}, 0x{:016x}\n", hv[0], hv[1]));
+        row2(&mut s, hv[0], hv[1]);
     }
     s.push_str("hdc_centers:\n");
-    for c in centers {
-        s.push_str(&format!(
-            "    .dword 0x{:016x}, 0x{:016x}, 0x{:016x}, 0x{:016x}\n",
-            c[0], c[1], c[2], c[3]
-        ));
+    for &c in centers {
+        row4(&mut s, c);
     }
-    s.push_str("meas:\n");
-    for (x, y) in meas {
-        s.push_str(&format!("    .dword {}, {}\n", fbits(*x), fbits(*y)));
-    }
-    s.push_str(&format!("out:\n    .zero {n}\n"));
+    meas_and_out(&mut s, meas);
     s
 }
 
