@@ -21,8 +21,8 @@ impl Calibration {
     /// readouts of |0⟩ and |1⟩ per qubit.
     ///
     /// The qubits are split over up to `available_parallelism()` threads,
-    /// at least [`MIN_QUBITS_PER_THREAD`] each. The centers do not depend
-    /// on the thread count (see [`centers`]).
+    /// at least 256 qubits each. A qubit's centers depend only on its own
+    /// shots, so they are the same bits at any thread count.
     ///
     /// # Errors
     ///
@@ -180,21 +180,6 @@ mod tests {
                     "{n} qubits at {jobs} jobs"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn calibration_is_the_mean_of_the_readout_shots() {
-        let d = QuantumDevice::new(3, 4);
-        let cal = Calibration::train(&d, 37).unwrap();
-        for q in 0..3 {
-            let mean = |state| {
-                let shots = d.readout(q, state, 37).unwrap();
-                let i: f64 = shots.iter().map(|s| s.point.i).sum();
-                let qq: f64 = shots.iter().map(|s| s.point.q).sum();
-                IqPoint::new(i / 37.0, qq / 37.0)
-            };
-            assert_eq!(cal.centers(q).unwrap(), (mean(0), mean(1)));
         }
     }
 

@@ -289,6 +289,11 @@ impl Iterator for ShotStream {
             self.center.q + r * theta.sin(),
         ))
     }
+
+    /// Endless, so `take(shots)` collects into an exactly sized `Vec`.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (usize::MAX, None)
+    }
 }
 
 #[cfg(test)]
