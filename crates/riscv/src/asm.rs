@@ -269,7 +269,7 @@ fn tokenize_line(raw: &str) -> Items<'_> {
 /// The count operand of `.zero` (bytes) or `.align` (a power of two): a
 /// decimal or `0x` hex literal, the literals `.dword` takes. A missing,
 /// negative or non-literal count is an error, not a silent zero.
-fn count(name: &str, mut args: Operands<'_>, line: usize) -> Result<u64> {
+fn count_operand(name: &str, mut args: Operands<'_>, line: usize) -> Result<u64> {
     args.next()
         .and_then(unsigned_literal)
         .map(|v| v as u64)
@@ -344,9 +344,9 @@ pub fn assemble(source: &str) -> Result<Program> {
                                 "dword" => dpc.checked_add(8 * args.count() as u64),
                                 "word" => dpc.checked_add(4 * args.count() as u64),
                                 "byte" => dpc.checked_add(args.count() as u64),
-                                "zero" => dpc.checked_add(count(name, args, lineno + 1)?),
+                                "zero" => dpc.checked_add(count_operand(name, args, lineno + 1)?),
                                 _ => {
-                                    let a = count(name, args, lineno + 1)?;
+                                    let a = count_operand(name, args, lineno + 1)?;
                                     // `.align` pads only the data section.
                                     if section == Section::Text {
                                         Some(dpc)
@@ -409,11 +409,11 @@ pub fn assemble(source: &str) -> Result<Program> {
                         }
                     }
                     "zero" => {
-                        let n = count(name, args, line)? as usize;
+                        let n = count_operand(name, args, line)? as usize;
                         data.extend(std::iter::repeat_n(0u8, n));
                     }
                     "align" => {
-                        let a = count(name, args, line)?;
+                        let a = count_operand(name, args, line)?;
                         if section == Section::Data {
                             // The label pass checked that the shift fits.
                             let m = 1usize << a;
