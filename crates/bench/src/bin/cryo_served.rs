@@ -18,12 +18,8 @@
 //!   executed job and byte-identical `done` lines for all three.
 //! - `drill overload` — queue depth 1, one worker, 3 distinct jobs:
 //!   assert a structured `overloaded{retry_after_ms}` shed.
-//! - `bench` — cold vs. warm request latency through the daemon, written
-//!   to `BENCH_serve.json` (cold process start pulled from
-//!   `BENCH_flow.json` when present for comparison).
 
 use std::path::PathBuf;
-use std::time::Instant;
 
 use cryo_core::supervise::{PipelineReport, Stage};
 use cryo_core::FlowConfig;
@@ -260,7 +256,7 @@ fn scratch_daemon(
     }
     let socket = std::env::temp_dir().join(format!("cryo-serve-drill-{}.sock", std::process::id()));
     let mut cfg = serve_config(true, socket.clone());
-    // Scratch cache: drill and bench results must not depend on whatever
+    // Scratch cache: drill results must not depend on whatever
     // a previous batch run left under data/.
     let scratch = std::env::temp_dir().join(format!("cryo-serve-drill-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&scratch);
@@ -369,51 +365,6 @@ fn drill_overload() {
     );
 }
 
-fn bench() {
-    let (socket, handle) = scratch_daemon(8, 1);
-    let corner = r#"{"cmd":"corner","temp":300,"vdd":0.7,"process":"tt"}"#;
-    let time_request = || {
-        let t = Instant::now();
-        let mut c = Client::connect(&socket).expect("connect");
-        c.send_raw(corner).expect("send");
-        let (line, _) = c.wait_terminal().expect("terminal");
-        let event: Value = serde_json::from_str(&line).expect("event parses");
-        assert_eq!(event_kind(&event), "done", "{line}");
-        (
-            t.elapsed().as_secs_f64(),
-            event.get("dc_solves").as_f64().unwrap_or(0.0),
-        )
-    };
-    let (cold_s, cold_dc) = time_request();
-    let (warm_s, warm_dc) = time_request();
-    let _ = shutdown_scratch(&socket, handle);
-    assert!(
-        warm_dc == 0.0,
-        "warm request re-simulated ({warm_dc} dc solves)"
-    );
-    // The number a service justifies itself against: what a request costs
-    // through a warm daemon vs. starting a batch process from nothing.
-    let batch_cold_s = std::fs::read_to_string("BENCH_flow.json")
-        .ok()
-        .and_then(|s| serde_json::parse(&s).ok())
-        .map(|v| v.get("cold_s").as_f64().unwrap_or(0.0));
-    let batch_field = batch_cold_s
-        .map(|s| format!(",\n  \"batch_cold_process_s\": {s:.3}"))
-        .unwrap_or_default();
-    let json = format!(
-        "{{\n  \"bench\": \"cryo_served\",\n  \"description\": \"Warm vs. cold corner request \
-         latency through the characterization daemon (fast config), via `cargo run --release \
-         -p cryo-bench --bin cryo_served -- bench`. The warm request is served from the \
-         characterization cache with zero SPICE work.\",\n  \
-         \"cold_request_s\": {cold_s:.3},\n  \"warm_request_s\": {warm_s:.3},\n  \
-         \"cold_request_dc_solves\": {cold_dc},\n  \"warm_request_dc_solves\": {warm_dc},\n  \
-         \"cold_over_warm\": {:.1}{batch_field}\n}}\n",
-        cold_s / warm_s.max(1e-9),
-    );
-    std::fs::write("BENCH_serve.json", json).expect("write BENCH_serve.json");
-    eprintln!("wrote BENCH_serve.json (cold {cold_s:.3} s, warm {warm_s:.3} s)");
-}
-
 fn main() {
     let fast = std::env::args().any(|a| a == "--fast");
     let sub = std::env::args().nth(1).unwrap_or_default();
@@ -429,9 +380,8 @@ fn main() {
                 "unknown drill {other:?} (expected coalesce or overload)"
             )),
         },
-        "bench" | "--bench" => bench(),
         other => die(&format!(
-            "unknown subcommand {other:?} (expected serve, request, stats, shutdown, drill, bench)"
+            "unknown subcommand {other:?} (expected serve, request, stats, shutdown, drill)"
         )),
     }
 }

@@ -17,8 +17,6 @@
 //! - `--derate=<margin>` — let failed corners borrow their nearest signed
 //!   neighbor's numbers with this pessimism margin.
 //! - `--report=<path>` — dump the farm report as JSON.
-//! - `--bench` — measure a cold farm vs. a fully resumed farm in a scratch
-//!   cache and write `BENCH_corners.json` at the repo root.
 //! - `CRYO_KILL_AFTER_CORNERS=<n>` — checkpoint the first `n` corners,
 //!   then die by SIGKILL (a real crash), leaving the farm store behind.
 //! - `CRYO_EXPECT_RESUMED_CORNERS=<n>` — assert the first `n` corners
@@ -158,53 +156,6 @@ fn run_farm(farm: &CornerFarm) -> (FarmRun, f64) {
     }
 }
 
-fn bench(spec: CornerSpec, fast: bool) {
-    // Cold farm vs. fully resumed farm in a scratch cache, plus the grid
-    // scale-up this layer buys over the paper's fixed two-corner flow.
-    let dir = std::env::temp_dir().join(format!("cryo_corner_bench_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut cfg = if fast {
-        FlowConfig::fast(&dir)
-    } else {
-        FlowConfig::full(&dir)
-    };
-    if let Some(s) = surrogate_spec() {
-        cfg.surrogate_policy = SurrogatePolicy::parse(&s).unwrap_or_else(|e| die(&e));
-    }
-    let corners = spec.corners().len();
-    let farm = CornerFarm::new(CryoFlow::new(cfg), farm_config(spec, None));
-    let (cold, cold_s) = run_farm(&farm);
-    print_farm(&cold, cold_s);
-    let (res, resumed_s) = run_farm(&farm);
-    print_farm(&res, resumed_s);
-    assert!(res.ledger.iter().all(|r| r.from_checkpoint));
-    let by_prov = |label: &str| {
-        cold.report
-            .corners
-            .iter()
-            .filter(|o| provenance_label(&o.provenance).starts_with(label))
-            .count()
-    };
-    let json = format!(
-        "{{\n  \"bench\": \"flow_corners\",\n  \"description\": \"PVT corner farm ({} config, \
-         {corners} corners vs. the paper's fixed 2), cold run vs. fully checkpoint-resumed run \
-         in a fresh cache, via `cargo run --release -p cryo-bench --bin flow_corners -- \
-         {}--bench`.\",\n  \"corners\": {corners},\n  \"spice\": {},\n  \"predicted\": {},\n  \
-         \"derated\": {},\n  \"failed\": {},\n  \"cold_s\": {cold_s:.3},\n  \
-         \"resumed_s\": {resumed_s:.3},\n  \"cold_over_resumed\": {:.1}\n}}\n",
-        if fast { "fast" } else { "full" },
-        if fast { "--fast " } else { "" },
-        by_prov("spice"),
-        by_prov("predicted"),
-        by_prov("derated"),
-        cold.report.failed,
-        cold_s / resumed_s.max(1e-9),
-    );
-    std::fs::write("BENCH_corners.json", json).expect("write BENCH_corners.json");
-    let _ = std::fs::remove_dir_all(&dir);
-    eprintln!("wrote BENCH_corners.json (cold {cold_s:.3} s, resumed {resumed_s:.3} s)");
-}
-
 fn main() {
     let fast = std::env::args().any(|a| a == "--fast");
     let spec_str = arg_value("--corners")
@@ -212,10 +163,6 @@ fn main() {
         .unwrap_or_else(|| "T=300,77,10".to_string());
     let spec = CornerSpec::parse(&spec_str)
         .unwrap_or_else(|e| die(&format!("bad corner spec {spec_str:?}: {e}")));
-    if std::env::args().any(|a| a == "--bench") {
-        bench(spec, fast);
-        return;
-    }
     let kill_after: Option<usize> = std::env::var("CRYO_KILL_AFTER_CORNERS").ok().map(|n| {
         n.parse()
             .unwrap_or_else(|_| die("bad CRYO_KILL_AFTER_CORNERS"))

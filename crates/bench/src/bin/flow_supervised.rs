@@ -8,8 +8,6 @@
 //!   full configuration with caching under `data/`).
 //! - `--data <dir>` — cache/checkpoint directory (default `data`; CI's
 //!   ENOSPC drill points this at a near-full tmpfs).
-//! - `--bench` — measure a cold run vs. a fully resumed run in a scratch
-//!   cache and write `BENCH_flow.json` at the repo root.
 //! - `--audit=off|warn|gate` (or `--audit <policy>`) — audit-firewall
 //!   policy; overrides `CRYO_AUDIT` (default `warn`).
 //! - `--audit-report <path>` — dump the machine-readable audit report as
@@ -225,56 +223,8 @@ fn run(
     }
 }
 
-fn bench(fast: bool) {
-    // Cold vs. resumed wall time in a scratch cache: the resume contract's
-    // headline number. Uses the fast configuration unless the caller
-    // explicitly asked for the paper's full grids.
-    let dir = std::env::temp_dir().join(format!("cryo_flow_bench_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let cfg = if fast {
-        FlowConfig::fast(&dir)
-    } else {
-        FlowConfig::full(&dir)
-    };
-    let sup = Supervisor::new(CryoFlow::new(cfg), SupervisorConfig::default());
-    let (cold_rep, cold_s) = run(&sup, None, None, None);
-    print_ledger(&cold_rep, cold_s);
-    let (res_rep, resumed_s) = run(&sup, None, None, None);
-    print_ledger(&res_rep, resumed_s);
-    assert!(res_rep.stages.iter().all(|r| r.from_checkpoint));
-    let stages: Vec<String> = cold_rep
-        .stages
-        .iter()
-        .map(|r| {
-            format!(
-                "{{ \"stage\": \"{}\", \"cold_s\": {:.6} }}",
-                r.stage.name(),
-                r.wall_s
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"flow_supervised\",\n  \"description\": \"Supervised end-to-end \
-         pipeline ({} config), cold run vs. fully checkpoint-resumed run in a fresh cache, \
-         via `cargo run --release -p cryo-bench --bin flow_supervised -- {}--bench`.\",\n  \
-         \"cold_s\": {cold_s:.3},\n  \"resumed_s\": {resumed_s:.3},\n  \
-         \"cold_over_resumed\": {:.1},\n  \"cold_stage_breakdown\": [\n    {}\n  ]\n}}\n",
-        if fast { "fast" } else { "full" },
-        if fast { "--fast " } else { "" },
-        cold_s / resumed_s.max(1e-9),
-        stages.join(",\n    ")
-    );
-    std::fs::write("BENCH_flow.json", json).expect("write BENCH_flow.json");
-    let _ = std::fs::remove_dir_all(&dir);
-    eprintln!("wrote BENCH_flow.json (cold {cold_s:.3} s, resumed {resumed_s:.3} s)");
-}
-
 fn main() {
     let fast = std::env::args().any(|a| a == "--fast");
-    if std::env::args().any(|a| a == "--bench") {
-        bench(fast);
-        return;
-    }
     let kill_after = std::env::var("CRYO_KILL_AFTER_STAGE")
         .ok()
         .map(|n| stage_by_name(&n));

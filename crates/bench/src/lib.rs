@@ -1,6 +1,7 @@
 #![warn(missing_docs)]
 //! Experiment regeneration support: shared CLI plumbing for the per-table/
-//! per-figure binaries, plus criterion benches on the engines themselves.
+//! per-figure binaries. Timing lives in the `cryo_benchmark` package
+//! (`BENCHMARK.json`), not here.
 //!
 //! Each binary regenerates one artifact of the paper and prints
 //! paper-vs-measured:
@@ -19,6 +20,8 @@
 //! for smoke runs) and default to the paper's full configuration with disk
 //! caching under `data/`.
 
+use std::path::{Path, PathBuf};
+
 use cryo_core::{CryoFlow, FlowConfig};
 
 /// Parse the shared CLI arguments and build the flow.
@@ -36,22 +39,33 @@ pub fn flow_from_args() -> CryoFlow {
     CryoFlow::new(cfg)
 }
 
-/// If `--json` was passed, serialize `value` to `results/<name>.json`
-/// (creating `results/` as needed) and report the path on stderr.
+/// If `--json` was passed, write `value` to `results/<name>.json` and
+/// report the path on stderr. Exits 1 when the file cannot be written.
 pub fn maybe_write_json<T: serde::Serialize>(name: &str, value: &T) {
     if !std::env::args().any(|a| a == "--json") {
         return;
     }
-    let _ = std::fs::create_dir_all("results");
-    let path = format!("results/{name}.json");
-    match serde_json::to_string_pretty(value) {
-        Ok(json) => {
-            if std::fs::write(&path, json).is_ok() {
-                eprintln!("wrote {path}");
-            }
+    match write_json(Path::new("results"), name, value) {
+        Ok(path) => eprintln!("wrote {}", path.display()),
+        Err(e) => {
+            eprintln!("cannot write results/{name}.json: {e}");
+            std::process::exit(1);
         }
-        Err(e) => eprintln!("json serialization failed: {e}"),
     }
+}
+
+/// Serialize `value` to `<dir>/<name>.json`, creating `dir` as needed,
+/// and return the file's path. A directory or write error names its path.
+fn write_json<T: serde::Serialize>(
+    dir: &Path,
+    name: &str,
+    value: &T,
+) -> Result<PathBuf, String> {
+    let json = serde_json::to_string_pretty(value).map_err(|e| e.to_string())?;
+    std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    let path = dir.join(format!("{name}.json"));
+    std::fs::write(&path, json).map_err(|e| format!("{}: {e}", path.display()))?;
+    Ok(path)
 }
 
 /// Render a simple ASCII bar of `value` against `full_scale`.
@@ -91,5 +105,26 @@ mod tests {
         assert!(s.contains("1.040"));
         assert!(s.contains("1.090"));
         assert!(s.contains("x1.05"));
+    }
+
+    #[test]
+    fn write_json_reports_an_unwritable_dir_and_round_trips() {
+        let root = std::env::temp_dir().join(format!("cryo_bench_json_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(&root).unwrap();
+        let value = vec![1.5, -2.0e-16];
+
+        let file = root.join("results");
+        std::fs::write(&file, "not a directory").unwrap();
+        let blocked = file.join("sub");
+        let err = write_json(&blocked, "fig", &value).unwrap_err();
+        assert!(err.contains(&blocked.display().to_string()), "{err}");
+
+        let path = write_json(&root.join("out"), "fig", &value).unwrap();
+        assert_eq!(path, root.join("out").join("fig.json"));
+        let back: Vec<f64> =
+            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        assert_eq!(back, value);
+        std::fs::remove_dir_all(&root).unwrap();
     }
 }

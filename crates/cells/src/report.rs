@@ -171,15 +171,6 @@ impl CharReport {
         self.with_status(CellStatus::Derated)
     }
 
-    /// Cells that needed more than one attempt but ultimately characterized.
-    #[must_use]
-    pub fn recovered(&self) -> Vec<&CellOutcome> {
-        self.outcomes
-            .iter()
-            .filter(|o| o.status == CellStatus::Characterized && o.attempts > 1)
-            .collect()
-    }
-
     /// Count of cells restored from checkpoints instead of re-simulated.
     #[must_use]
     pub fn resumed_count(&self) -> usize {

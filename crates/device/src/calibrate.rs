@@ -49,14 +49,6 @@ pub struct CalibrationReport {
     pub final_rms: f64,
 }
 
-impl CalibrationReport {
-    /// Worst per-stage post-fit residual (decades).
-    #[must_use]
-    pub fn worst_stage_residual(&self) -> f64 {
-        self.stages.iter().map(|s| s.after).fold(0.0, f64::max)
-    }
-}
-
 /// Calibration configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CalibrationConfig {

@@ -13,7 +13,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use cryo_liberty::{ArcKind, ArcSigma, Cell, Library, Lut2, TimingArc};
+use cryo_liberty::{ArcKind, ArcSigma, Cell, Library, Lut2};
 
 /// Mean of a table's entries.
 fn table_mean(t: &Lut2) -> f64 {
@@ -210,17 +210,10 @@ pub fn residual_outliers(predicted: &Library, expected_rel: f64, tolerance: f64)
         .collect()
 }
 
-/// Arcs-carry-sigma check used by callers deciding between transfer and
-/// full MC.
-#[must_use]
-pub fn has_lvf(arc: &TimingArc) -> bool {
-    arc.sigma.is_some()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cryo_liberty::{LogicFunction, Pin, TimingSense};
+    use cryo_liberty::{LogicFunction, Pin, TimingArc, TimingSense};
 
     fn table(base: f64) -> Lut2 {
         Lut2::new(

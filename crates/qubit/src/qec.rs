@@ -41,12 +41,6 @@ impl RepetitionCode {
         Self { distance }
     }
 
-    /// Physical qubits per logical qubit.
-    #[must_use]
-    pub fn physical_per_logical(&self) -> usize {
-        self.distance
-    }
-
     /// Majority-vote decode of one block of physical readout labels.
     ///
     /// # Panics

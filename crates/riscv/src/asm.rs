@@ -279,6 +279,27 @@ fn count_operand(name: &str, mut args: Operands<'_>, line: usize) -> Result<u64>
         })
 }
 
+/// A `.byte` or `.word` operand that fits `bits` bits in its signed or its
+/// unsigned reading (−2^(bits−1) ..= 2^bits − 1). A wider value is an
+/// error, never a silent truncation.
+fn sized_operand(
+    name: &str,
+    tok: &str,
+    bits: u32,
+    labels: &HashMap<String, u64>,
+    line: usize,
+) -> Result<i64> {
+    let v = parse_imm(tok, labels, line)?;
+    if (-(1i64 << (bits - 1))..1i64 << bits).contains(&v) {
+        Ok(v)
+    } else {
+        Err(RiscvError::Asm {
+            line,
+            reason: format!(".{name} value {v} does not fit in {bits} bits"),
+        })
+    }
+}
+
 /// Number of instruction words a (possibly pseudo) mnemonic expands to.
 /// `li` takes only a literal that fits in 32 bits (anything else fails when
 /// [`lower`] emits it, so its size here does not matter).
@@ -398,13 +419,13 @@ pub fn assemble(source: &str) -> Result<Program> {
                     }
                     "word" => {
                         for a in args {
-                            let v = parse_imm(a, &labels, line)?;
+                            let v = sized_operand(name, a, 32, &labels, line)?;
                             data.extend_from_slice(&(v as u32).to_le_bytes());
                         }
                     }
                     "byte" => {
                         for a in args {
-                            let v = parse_imm(a, &labels, line)?;
+                            let v = sized_operand(name, a, 8, &labels, line)?;
                             data.push(v as u8);
                         }
                     }
@@ -936,6 +957,22 @@ mod tests {
     #[test]
     fn align_of_64_bits_is_an_error() {
         assert_eq!(asm_error_line(".data\n.align 64\nx: .byte 1"), 2);
+    }
+
+    #[test]
+    fn byte_and_word_reject_values_wider_than_their_width() {
+        assert_eq!(asm_error_line(".data\nx: .byte 1\ny: .byte 300"), 3);
+        assert_eq!(asm_error_line(".data\nx: .byte -129"), 2);
+        assert_eq!(asm_error_line(".data\nx: .word 0x123456789"), 2);
+        assert_eq!(asm_error_line(".data\n\nx: .word -2147483649"), 3);
+    }
+
+    #[test]
+    fn byte_and_word_take_the_signed_or_unsigned_reading() {
+        let p = assemble(".data\nx: .byte -1, 255\ny: .word -1, 0xffffffff").unwrap();
+        assert_eq!(p.data, vec![0xff; 10]);
+        let p = assemble(".data\nx: .byte -128, 0\ny: .word -2147483648").unwrap();
+        assert_eq!(p.data, vec![0x80, 0, 0, 0, 0, 0x80]);
     }
 
     #[test]

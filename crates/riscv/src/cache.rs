@@ -186,14 +186,6 @@ impl Cache {
         self.mru = Some((line_addr, base + victim));
         (false, evicted)
     }
-
-    /// Drop all contents (keeps statistics).
-    pub fn flush(&mut self) {
-        for l in &mut self.lines {
-            *l = Line::default();
-        }
-        self.mru = None;
-    }
 }
 
 /// The SoC's memory hierarchy: split L1, shared L2, flat memory behind it.

@@ -79,18 +79,6 @@ impl Cpu {
         }
     }
 
-    /// FP register read as raw bits.
-    #[must_use]
-    pub fn fbits(&self, r: usize) -> u64 {
-        self.f[r]
-    }
-
-    /// FP register read as f64.
-    #[must_use]
-    pub fn fd(&self, r: usize) -> f64 {
-        f64::from_bits(self.f[r])
-    }
-
     /// Current program counter.
     #[must_use]
     pub fn pc(&self) -> u64 {

@@ -228,18 +228,6 @@ impl Circuit {
         }
         format!("branch{branch}")
     }
-
-    /// Largest `last_event` time across all sources (transient window hint).
-    #[must_use]
-    pub fn last_source_event(&self) -> f64 {
-        self.elements
-            .iter()
-            .filter_map(|e| match &e.kind {
-                ElementKind::VSource { source, .. } => source.last_event(),
-                _ => None,
-            })
-            .fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]

@@ -96,23 +96,6 @@ impl Source {
     pub fn initial(&self) -> f64 {
         self.value(0.0)
     }
-
-    /// Latest time at which the waveform still changes (used to pick
-    /// transient windows); `None` for DC.
-    #[must_use]
-    pub fn last_event(&self) -> Option<f64> {
-        match self {
-            Source::Dc(_) => None,
-            Source::Pulse {
-                delay,
-                rise,
-                width,
-                fall,
-                ..
-            } => Some(delay + rise + width + fall),
-            Source::Pwl(points) => points.last().map(|p| p.0),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -124,7 +107,6 @@ mod tests {
         let s = Source::dc(0.7);
         assert_eq!(s.value(0.0), 0.7);
         assert_eq!(s.value(1.0), 0.7);
-        assert_eq!(s.last_event(), None);
     }
 
     #[test]
@@ -134,7 +116,6 @@ mod tests {
         assert_eq!(s.value(1e-9), 0.0);
         assert!((s.value(2e-9) - 0.35).abs() < 1e-12);
         assert_eq!(s.value(4e-9), 0.7);
-        assert!((s.last_event().unwrap() - 3e-9).abs() < 1e-18);
     }
 
     #[test]

@@ -160,6 +160,12 @@ pub fn apply_ratio(warm: f64, predicted_log_ratio: f64) -> f64 {
     warm.signum() * warm.abs() * det::exp(predicted_log_ratio)
 }
 
+/// Whether the sample at `index` is held out (every 5th): never seen by
+/// SGD, used for the residual statistics that gate prediction trust.
+pub(crate) fn is_holdout(index: usize) -> bool {
+    index.is_multiple_of(5)
+}
+
 /// One training sample: a feature vector, its log-ratio target, and the
 /// bookkeeping needed to compute linear-domain residuals afterwards.
 #[derive(Debug, Clone)]
@@ -253,19 +259,7 @@ impl Dataset {
         self.samples
             .iter()
             .enumerate()
-            .filter(|(i, _)| i % 5 != 0)
-            .map(|(_, s)| s)
-            .collect()
-    }
-
-    /// Held-out samples (every 5th) — never seen by SGD, used for the
-    /// residual statistics that gate prediction trust.
-    #[must_use]
-    pub fn holdout_split(&self) -> Vec<&ArcSample> {
-        self.samples
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % 5 == 0)
+            .filter(|(i, _)| !is_holdout(*i))
             .map(|(_, s)| s)
             .collect()
     }

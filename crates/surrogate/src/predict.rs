@@ -21,7 +21,8 @@ use cryo_device::CornerScalars;
 use cryo_liberty::{ArcKind, Cell, Library, Lut2, Provenance, ResidualStats};
 
 use crate::features::{
-    apply_ratio, entry_features, CellDescriptor, Dataset, Edge, Normalizer, TableKind, TINY,
+    apply_ratio, entry_features, is_holdout, CellDescriptor, Dataset, Edge, Normalizer, TableKind,
+    TINY,
 };
 use crate::mlp::Mlp;
 
@@ -190,7 +191,7 @@ impl Surrogate {
             let rel = (pred - s.cold).abs() / s.cold.abs().max(s.warm.abs()).max(TINY);
             let worst = per_cell.entry(s.cell.clone()).or_insert(0.0);
             *worst = worst.max(rel);
-            if i % 5 == 0 {
+            if is_holdout(i) {
                 sum += rel;
                 max = max.max(rel);
                 n_holdout += 1;

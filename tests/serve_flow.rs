@@ -336,6 +336,7 @@ fn hostile_request_lines_are_refused_and_the_daemon_keeps_serving() {
     let (line, _) = warm.wait_terminal().expect("warm terminal");
     let warm: Value = serde_json::parse(&line).expect("warm done parses");
     assert_eq!(event_kind(&warm), "done", "{line}");
+    assert_eq!(warm.get("dc_solves").as_f64(), Some(0.0));
     assert_eq!(warm.get("tran_solves").as_f64(), Some(0.0));
     assert_eq!(
         warm.get("artifact").get("lib"),
