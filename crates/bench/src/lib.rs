@@ -56,11 +56,7 @@ pub fn maybe_write_json<T: serde::Serialize>(name: &str, value: &T) {
 
 /// Serialize `value` to `<dir>/<name>.json`, creating `dir` as needed,
 /// and return the file's path. A directory or write error names its path.
-fn write_json<T: serde::Serialize>(
-    dir: &Path,
-    name: &str,
-    value: &T,
-) -> Result<PathBuf, String> {
+fn write_json<T: serde::Serialize>(dir: &Path, name: &str, value: &T) -> Result<PathBuf, String> {
     let json = serde_json::to_string_pretty(value).map_err(|e| e.to_string())?;
     std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     let path = dir.join(format!("{name}.json"));
