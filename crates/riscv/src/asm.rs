@@ -290,7 +290,9 @@ fn sized_operand(
     line: usize,
 ) -> Result<i64> {
     let v = parse_imm(tok, labels, line)?;
-    if (-(1i64 << (bits - 1))..1i64 << bits).contains(&v) {
+    // A hex literal above i64::MAX reads back with the wrong sign.
+    let wrapped = v != 0 && (v < 0) != sign(tok).0;
+    if !wrapped && (-(1i64 << (bits - 1))..1i64 << bits).contains(&v) {
         Ok(v)
     } else {
         Err(RiscvError::Asm {
@@ -965,6 +967,8 @@ mod tests {
         assert_eq!(asm_error_line(".data\nx: .byte -129"), 2);
         assert_eq!(asm_error_line(".data\nx: .word 0x123456789"), 2);
         assert_eq!(asm_error_line(".data\n\nx: .word -2147483649"), 3);
+        assert_eq!(asm_error_line(".data\nx: .byte 0xffffffffffffffff"), 2);
+        assert_eq!(asm_error_line(".data\nx: .word -0xffffffffffffffff"), 2);
     }
 
     #[test]
