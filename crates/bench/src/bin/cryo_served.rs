@@ -256,8 +256,8 @@ fn scratch_daemon(
     }
     let socket = std::env::temp_dir().join(format!("cryo-serve-drill-{}.sock", std::process::id()));
     let mut cfg = serve_config(true, socket.clone());
-    // Scratch cache: drill results must not depend on whatever
-    // a previous batch run left under data/.
+    // Private cache: drill results must not depend on whatever a
+    // previous batch run left under data/.
     let scratch = std::env::temp_dir().join(format!("cryo-serve-drill-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&scratch);
     cfg.flow = FlowConfig::fast(&scratch);
