@@ -7,6 +7,7 @@
 //! exercised on the same checkpointed farm.
 
 use std::path::PathBuf;
+use std::time::Duration;
 
 use cryo_soc::cells::CheckpointStore;
 use cryo_soc::core::corners::{CornerFarm, CornerProvenance, CornerSpec, FarmConfig};
@@ -216,4 +217,49 @@ fn poisoned_farm_degrades_signs_and_resumes_byte_identically() {
     );
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn spent_budget_quarantines_the_corner_and_replays_from_its_blob() {
+    // One corner, so at most one worker is leaked: the watchdog gives up
+    // on it at once, and it runs on, detached, until the binary exits.
+    let dir = std::env::temp_dir().join(format!("cryo_corner_farm_timeout_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut cfg = FlowConfig::fast(&dir);
+    cfg.jobs = 1;
+    cfg.fault_plan = None;
+    let flow = CryoFlow::new(cfg);
+    let spec = CornerSpec::parse("T=300").expect("spec");
+    let mut fcfg = FarmConfig::new(spec.clone());
+    fcfg.corner_budget = Duration::ZERO;
+    let run = CornerFarm::new(flow.clone(), fcfg)
+        .run()
+        .expect("a timed-out corner degrades the farm, not the run");
+    assert_eq!(run.report.corners.len(), 1);
+    let corner = &run.report.corners[0];
+    assert_eq!(corner.name, "tt_0p70v_300k");
+    assert!(!corner.signed && corner.fmax_hz.is_none());
+    assert_eq!(
+        corner.provenance,
+        CornerProvenance::Failed {
+            cause: "stage corner:tt_0p70v_300k exceeded its 0.000 s budget".into()
+        }
+    );
+    let r = &run.ledger[0];
+    assert_eq!((r.from_checkpoint, r.attempts), (false, 1), "{r:?}");
+    assert!(!run.report.signoff);
+
+    // With default budgets the quarantined outcome replays from its blob:
+    // the corner is not retried and no work is spent.
+    let _ = work::take();
+    let rerun = CornerFarm::new(flow, FarmConfig::new(spec))
+        .run()
+        .expect("resumed farm");
+    assert_eq!(rerun.report.corners, run.report.corners);
+    let r = &rerun.ledger[0];
+    assert!(
+        r.from_checkpoint && r.attempts == 0 && r.dc_solves + r.tran_solves + r.arc_evals == 0,
+        "the quarantined corner must replay with zero work: {r:?}"
+    );
+    assert_eq!(work::take(), Work::default());
 }
