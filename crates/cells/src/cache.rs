@@ -22,26 +22,17 @@ use std::time::Duration;
 
 use cryo_device::ModelCard;
 use cryo_liberty::Library;
-use cryo_spice::fault;
+use cryo_spice::fault::{self, fnv1a};
 
 use crate::charlib::CharConfig;
 use crate::{vfs, CellError, Result};
 
-/// Stable FNV-1a hash of the cache key ingredients (also used by the
-/// checkpoint store for content checksums).
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
-/// Stable FNV-1a 64-bit digest of arbitrary bytes, 16 hex digits — the
-/// workspace-wide content fingerprint (cache keys, checkpoint checksums,
-/// serve-layer artifact digests all use the same function, so a digest
-/// printed anywhere can be cross-checked against any other layer).
+/// Stable 64-bit digest of arbitrary bytes, 16 hex digits, by
+/// [`fault::fnv1a`]. Library cache keys, checkpoint checksums and the
+/// serve layer's artifact digests all use that function, so a digest
+/// printed by one can be cross-checked against another. Pipeline, farm
+/// and surrogate keys use true FNV-1a (`cryo_surrogate::fnv64`) and do
+/// not compare with it.
 #[must_use]
 pub fn content_digest(bytes: &[u8]) -> String {
     format!("{:016x}", fnv1a(bytes))

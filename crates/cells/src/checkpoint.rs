@@ -26,11 +26,10 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use cryo_liberty::Cell;
+use cryo_spice::fault::fnv1a;
 use serde::{Deserialize, Serialize};
 
-use crate::cache::{
-    effective_reap_age, fnv1a, is_tmp_name, quarantine, reap_stale_tmp, write_atomic,
-};
+use crate::cache::{effective_reap_age, is_tmp_name, quarantine, reap_stale_tmp, write_atomic};
 use crate::{vfs, CellError, Result};
 
 /// Magic prefix of a checkpoint header line.

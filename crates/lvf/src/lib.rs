@@ -33,17 +33,6 @@ use cryo_spice::sparse;
 
 type Result<T> = std::result::Result<T, CellError>;
 
-/// FNV-1a 64-bit — the same seed-mixing hash the supervisor and surrogate
-/// use, copied locally because `cryo_cells::cache::fnv1a` is crate-private.
-fn fnv64(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
 /// Configuration for a Monte-Carlo characterization sweep.
 #[derive(Debug, Clone)]
 pub struct McConfig {
@@ -77,7 +66,7 @@ impl McConfig {
     /// Deterministic seed for one sampled die of one cell.
     #[must_use]
     pub fn die_seed(&self, cell: &str, die: usize) -> u64 {
-        self.base_seed ^ fnv64(cell.as_bytes()) ^ die as u64
+        self.base_seed ^ fault::fnv1a(cell.as_bytes()) ^ die as u64
     }
 }
 
@@ -102,7 +91,7 @@ pub fn mc_cache_key(
         "{nominal}|mc|dies={}|seed={}|var={:e}/{:e}/{:e}/{:e}/{:e}",
         cfg.dies, cfg.base_seed, v.sigma_vth0, v.sigma_u0, v.sigma_rsw, v.sigma_t0, v.sigma_tvth
     );
-    Ok(format!("{:016x}", fnv64(salt.as_bytes())))
+    Ok(format!("{:016x}", fault::fnv1a(salt.as_bytes())))
 }
 
 /// Pooled distribution moments for one timing arc across the die

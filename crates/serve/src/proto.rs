@@ -221,11 +221,11 @@ pub fn ev_pipeline(e: &PipelineEvent) -> Value {
 }
 
 /// The `done` line: the job finished. `artifact` is the result payload,
-/// already serialized; the line's `digest` is the FNV-64 content
-/// fingerprint of exactly those bytes (same function as every cache key in
-/// the workspace). The artifact is spliced in last without being
-/// serialized again, so the line is byte-identical to serializing the
-/// whole event.
+/// already serialized; the line's `digest` is the content fingerprint of
+/// exactly those bytes (`content_digest`, the hash of the library cache
+/// keys and checkpoint checksums). The artifact is spliced in last
+/// without being serialized again, so the line is byte-identical to
+/// serializing the whole event.
 #[must_use]
 pub fn done_line(
     req: &str,

@@ -33,9 +33,16 @@ use std::cell::RefCell;
 
 use crate::SpiceError;
 
-/// FNV-1a over a label; mixed into the seed so each context (cell) gets an
-/// independent deterministic draw stream.
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// The workspace's 64-bit content hash. It is FNV-1a's loop with the
+/// multiplier `0x1000_0000_01b3`, which is not the FNV prime
+/// `0x100_0000_01b3`, so `"a"` hashes to `0xaf74d84c8601ec8c` where true
+/// FNV-1a (`cryo_surrogate::fnv64`) gives `0xaf63dc4c8601ec8c`.
+///
+/// Every library cache key, checkpoint checksum, fault draw (mixed into
+/// the plan seed per context) and Monte-Carlo die seed comes from this
+/// function, so changing the multiplier moves all of them at once.
+#[must_use]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);
@@ -820,6 +827,14 @@ pub use crate::work::get as sim_counts;
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_keeps_the_workspace_multiplier() {
+        // Not true FNV-1a ("a" → 0xaf63dc4c8601ec8c): every cache key and
+        // checkpoint checksum on disk depends on this value.
+        assert_eq!(fnv1a(b"a"), 0xaf74_d84c_8601_ec8c);
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+    }
 
     #[test]
     fn idle_injector_never_fires() {
