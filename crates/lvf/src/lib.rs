@@ -1,3 +1,4 @@
+#![warn(missing_docs)]
 //! Monte-Carlo statistical characterization: sampled-die SPICE sweeps that
 //! produce LVF-style variation tables next to every NLDM table.
 //!

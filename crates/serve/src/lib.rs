@@ -1,3 +1,4 @@
+#![warn(missing_docs)]
 //! Characterization-as-a-service: a crash-safe daemon over the
 //! supervised signoff flow.
 //!
