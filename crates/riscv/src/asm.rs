@@ -145,34 +145,48 @@ fn sign(tok: &str) -> (bool, &str) {
     }
 }
 
-/// A hex (`0x…`) or decimal literal without its sign.
-fn unsigned_literal(body: &str) -> Option<i64> {
+/// A hex (`0x…`) or decimal literal without its sign, as its magnitude.
+/// Hex may use all 64 bits; decimal stops at `i64::MAX`.
+fn unsigned_literal(body: &str) -> Option<u64> {
     if let Some(hex) = body.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16).ok().map(|v| v as i64)
+        u64::from_str_radix(hex, 16).ok()
     } else if body.bytes().all(|c| c.is_ascii_digit()) && !body.is_empty() {
-        body.parse::<i64>().ok()
+        body.parse::<i64>().ok().map(i64::unsigned_abs)
     } else {
         None
     }
 }
 
-/// A signed literal, or `None` for anything else (a label, say).
+/// Apply a sign to a magnitude. A positive magnitude keeps its 64-bit
+/// pattern (`0xffffffffffffffff` reads as −1); a negative one above 2⁶³,
+/// the magnitude of `i64::MIN`, has no reading.
+fn signed(neg: bool, magnitude: u64) -> Option<i64> {
+    if neg {
+        0i64.checked_sub_unsigned(magnitude)
+    } else {
+        Some(magnitude as i64)
+    }
+}
+
+/// A signed literal, or `None` for anything else (a label, say, or a
+/// negative literal below `i64::MIN`).
 fn literal(tok: &str) -> Option<i64> {
     let (neg, body) = sign(tok);
-    unsigned_literal(body).map(|v| if neg { -v } else { v })
+    signed(neg, unsigned_literal(body)?)
 }
 
 fn parse_imm(tok: &str, labels: &HashMap<String, u64>, line: usize) -> Result<i64> {
     let (neg, body) = sign(tok);
-    let value = unsigned_literal(body).or_else(|| labels.get(body).map(|&a| a as i64));
-    let value = value.ok_or_else(|| RiscvError::Asm {
+    let tok = tok.trim().trim_end_matches(',');
+    let magnitude = unsigned_literal(body).or_else(|| labels.get(body).copied());
+    let magnitude = magnitude.ok_or_else(|| RiscvError::Asm {
         line,
-        reason: format!(
-            "bad immediate or unknown label: {}",
-            tok.trim().trim_end_matches(',')
-        ),
+        reason: format!("bad immediate or unknown label: {tok}"),
     })?;
-    Ok(if neg { -value } else { value })
+    signed(neg, magnitude).ok_or_else(|| RiscvError::Asm {
+        line,
+        reason: format!("immediate {tok} is below i64::MIN"),
+    })
 }
 
 /// `8(a0)` → (offset, base register).
@@ -272,7 +286,6 @@ fn tokenize_line(raw: &str) -> Items<'_> {
 fn count_operand(name: &str, mut args: Operands<'_>, line: usize) -> Result<u64> {
     args.next()
         .and_then(unsigned_literal)
-        .map(|v| v as u64)
         .ok_or_else(|| RiscvError::Asm {
             line,
             reason: format!(".{name} needs a count: a decimal or 0x hex literal"),
@@ -977,6 +990,23 @@ mod tests {
         assert_eq!(p.data, vec![0xff; 10]);
         let p = assemble(".data\nx: .byte -128, 0\ny: .word -2147483648").unwrap();
         assert_eq!(p.data, vec![0x80, 0, 0, 0, 0, 0x80]);
+    }
+
+    #[test]
+    fn negative_literals_stop_at_i64_min() {
+        let p = assemble(".data\nx: .dword -0x8000000000000000, -9223372036854775807").unwrap();
+        assert_eq!(&p.data[..8], &i64::MIN.to_le_bytes());
+        assert_eq!(&p.data[8..], &(i64::MIN + 1).to_le_bytes());
+        assert_eq!(asm_error_line(".data\n\nx: .dword -0x8000000000000001"), 3);
+        assert_eq!(
+            asm_error_line("addi a0, zero, 1\nli t0, -0x8000000000000000"),
+            2
+        );
+        assert_eq!(asm_error_line("li t0, -0x8000000000000001"), 1);
+        // Positive literals keep their 64-bit pattern.
+        let p = assemble(".data\nx: .dword 0xffffffffffffffff, 0x8000000000000000").unwrap();
+        assert_eq!(&p.data[..8], &(-1i64).to_le_bytes());
+        assert_eq!(&p.data[8..], &i64::MIN.to_le_bytes());
     }
 
     #[test]
