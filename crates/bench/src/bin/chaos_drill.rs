@@ -13,22 +13,9 @@
 use std::fs;
 use std::path::PathBuf;
 
+use cryo_bench::arg_value;
 use cryo_core::chaos::{self, DrillLedger};
 use serde::Serialize;
-
-fn arg_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    let prefix = format!("{name}=");
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix(&prefix) {
-            return Some(v.to_string());
-        }
-        if a == name {
-            return args.get(i + 1).cloned();
-        }
-    }
-    None
-}
 
 #[derive(Serialize)]
 struct Summary {

@@ -21,47 +21,16 @@
 
 use std::path::PathBuf;
 
+use cryo_bench::{arg_value, die, stage_by_name};
 use cryo_core::supervise::{PipelineReport, Stage};
 use cryo_core::FlowConfig;
 use cryo_serve::{event_kind, Client, Daemon, ServeConfig};
 use serde::{Deserialize, Serialize, Value};
 
-/// Value of `--name=<v>` or `--name <v>`, if present.
-fn arg_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    let prefix = format!("{name}=");
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix(&prefix) {
-            return Some(v.to_string());
-        }
-        if a == name {
-            return args.get(i + 1).cloned();
-        }
-    }
-    None
-}
-
 fn socket_path() -> PathBuf {
     arg_value("--socket")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("data/cryo-serve.sock"))
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("{msg}");
-    std::process::exit(2);
-}
-
-fn stage_by_name(name: &str) -> Stage {
-    Stage::ALL
-        .into_iter()
-        .find(|s| s.name() == name)
-        .unwrap_or_else(|| {
-            let known: Vec<&str> = Stage::ALL.iter().map(|s| s.name()).collect();
-            die(&format!(
-                "unknown stage `{name}`; expected one of {known:?}"
-            ))
-        })
 }
 
 fn obj(fields: Vec<(&str, Value)>) -> Value {

@@ -28,45 +28,9 @@
 
 use std::time::Instant;
 
+use cryo_bench::{arg_value, die, spec_flag};
 use cryo_core::corners::{CornerFarm, CornerProvenance, CornerSpec, FarmConfig, FarmRun};
 use cryo_core::{AuditPolicy, CryoFlow, FlowConfig, SurrogatePolicy};
-
-/// Value of `--name=<v>` or `--name <v>`, if present.
-fn arg_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    let prefix = format!("{name}=");
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix(&prefix) {
-            return Some(v.to_string());
-        }
-        if a == name {
-            return args.get(i + 1).cloned();
-        }
-    }
-    None
-}
-
-/// `--surrogate[=<spec>]`; a bare flag means `predict:0.75`.
-fn surrogate_spec() -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    let mut spec = None;
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix("--surrogate=") {
-            spec = Some(v.to_string());
-        } else if a == "--surrogate" {
-            spec = Some(match args.get(i + 1) {
-                Some(v) if !v.starts_with("--") => v.clone(),
-                _ => "predict:0.75".to_string(),
-            });
-        }
-    }
-    spec
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("{msg}");
-    std::process::exit(2);
-}
 
 fn provenance_label(p: &CornerProvenance) -> String {
     match p {
@@ -175,7 +139,7 @@ fn main() {
     if let Some(p) = arg_value("--audit") {
         cfg.audit_policy = AuditPolicy::parse(&p).unwrap_or_else(|e| die(&e));
     }
-    if let Some(s) = surrogate_spec() {
+    if let Some(s) = spec_flag("--surrogate", "predict:0.75") {
         cfg.surrogate_policy = SurrogatePolicy::parse(&s).unwrap_or_else(|e| die(&e));
     }
     let farm = CornerFarm::new(CryoFlow::new(cfg), farm_config(spec, kill_after));

@@ -36,25 +36,11 @@
 
 use std::time::Instant;
 
+use cryo_bench::{arg_value, spec_flag, stage_by_name};
 use cryo_cells::SurrogateSummary;
 use cryo_core::supervise::{PipelineReport, Stage, Supervisor, SupervisorConfig};
 use cryo_core::{AuditPolicy, CoreError, CryoFlow, FlowConfig, McPolicy, SurrogatePolicy};
 use cryo_liberty::AuditReport;
-
-/// Value of `--name=<v>` or `--name <v>`, if present.
-fn arg_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    let prefix = format!("{name}=");
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix(&prefix) {
-            return Some(v.to_string());
-        }
-        if a == name {
-            return args.get(i + 1).cloned();
-        }
-    }
-    None
-}
 
 fn write_audit_report(path: &str, audit: &AuditReport) {
     let json = serde_json::to_string(audit).expect("audit report serializes");
@@ -67,24 +53,6 @@ fn write_audit_report(path: &str, audit: &AuditReport) {
         audit.findings.len(),
         audit.repaired.len()
     );
-}
-
-/// `--surrogate[=<spec>]` / `--surrogate <spec>`; a bare flag means
-/// `predict:0.75`. Returns `None` when the flag is absent.
-fn surrogate_spec() -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    let mut spec = None;
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix("--surrogate=") {
-            spec = Some(v.to_string());
-        } else if a == "--surrogate" {
-            spec = Some(match args.get(i + 1) {
-                Some(v) if !v.starts_with("--") => v.clone(),
-                _ => "predict:0.75".to_string(),
-            });
-        }
-    }
-    spec
 }
 
 fn write_surrogate_report(path: &str, summary: Option<&SurrogateSummary>) {
@@ -102,35 +70,6 @@ fn write_surrogate_report(path: &str, summary: Option<&SurrogateSummary>) {
         ),
         None => eprintln!("wrote surrogate report to {path} (surrogate off: null)"),
     }
-}
-
-/// `--mc[=<spec>]` / `--mc <spec>`; a bare flag means `n:8`. Returns
-/// `None` when the flag is absent.
-fn mc_spec() -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    let mut spec = None;
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix("--mc=") {
-            spec = Some(v.to_string());
-        } else if a == "--mc" {
-            spec = Some(match args.get(i + 1) {
-                Some(v) if !v.starts_with("--") => v.clone(),
-                _ => "n:8".to_string(),
-            });
-        }
-    }
-    spec
-}
-
-fn stage_by_name(name: &str) -> Stage {
-    Stage::ALL
-        .into_iter()
-        .find(|s| s.name() == name)
-        .unwrap_or_else(|| {
-            let known: Vec<&str> = Stage::ALL.iter().map(|s| s.name()).collect();
-            eprintln!("unknown stage `{name}`; expected one of {known:?}");
-            std::process::exit(2);
-        })
 }
 
 fn print_ledger(rep: &PipelineReport, wall_s: f64) {
@@ -243,13 +182,13 @@ fn main() {
             std::process::exit(2);
         });
     }
-    if let Some(spec) = surrogate_spec() {
+    if let Some(spec) = spec_flag("--surrogate", "predict:0.75") {
         cfg.surrogate_policy = SurrogatePolicy::parse(&spec).unwrap_or_else(|e| {
             eprintln!("{e}");
             std::process::exit(2);
         });
     }
-    if let Some(spec) = mc_spec() {
+    if let Some(spec) = spec_flag("--mc", "n:8") {
         cfg.mc_policy = McPolicy::parse(&spec).unwrap_or_else(|e| {
             eprintln!("{e}");
             std::process::exit(2);

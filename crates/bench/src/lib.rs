@@ -1,7 +1,7 @@
 #![warn(missing_docs)]
 //! Experiment regeneration support: shared CLI plumbing for the per-table/
-//! per-figure binaries. Timing lives in the `cryo_benchmark` package
-//! (`BENCHMARK.json`), not here.
+//! per-figure binaries and the drill binaries. Timing lives in the
+//! `cryo_benchmark` package (`BENCHMARK.json`), not here.
 //!
 //! Each binary regenerates one artifact of the paper and prints
 //! paper-vs-measured:
@@ -22,6 +22,7 @@
 
 use std::path::{Path, PathBuf};
 
+use cryo_core::supervise::Stage;
 use cryo_core::{CryoFlow, FlowConfig};
 
 /// Parse the shared CLI arguments and build the flow.
@@ -37,6 +38,69 @@ pub fn flow_from_args() -> CryoFlow {
         cfg
     };
     CryoFlow::new(cfg)
+}
+
+/// Value of `--name=<v>` or `--name <v>`, if present; the first wins.
+#[must_use]
+pub fn arg_value(name: &str) -> Option<String> {
+    value_in(&std::env::args().collect::<Vec<_>>(), name)
+}
+
+fn value_in(args: &[String], name: &str) -> Option<String> {
+    let prefix = format!("{name}=");
+    for (i, a) in args.iter().enumerate() {
+        if let Some(v) = a.strip_prefix(&prefix) {
+            return Some(v.to_string());
+        }
+        if a == name {
+            return args.get(i + 1).cloned();
+        }
+    }
+    None
+}
+
+/// `--name[=<spec>]` or `--name <spec>`, where a bare flag (last, or
+/// followed by another `--` flag) means `default`; the last one wins.
+/// `None` when the flag is absent.
+#[must_use]
+pub fn spec_flag(name: &str, default: &str) -> Option<String> {
+    spec_in(&std::env::args().collect::<Vec<_>>(), name, default)
+}
+
+fn spec_in(args: &[String], name: &str, default: &str) -> Option<String> {
+    let prefix = format!("{name}=");
+    let mut spec = None;
+    for (i, a) in args.iter().enumerate() {
+        if let Some(v) = a.strip_prefix(&prefix) {
+            spec = Some(v.to_string());
+        } else if a == name {
+            spec = Some(match args.get(i + 1) {
+                Some(v) if !v.starts_with("--") => v.clone(),
+                _ => default.to_string(),
+            });
+        }
+    }
+    spec
+}
+
+/// Print `msg` to stderr and exit 2, the status of a usage error.
+pub fn die(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
+/// The pipeline stage named `name`; an unknown name is a usage error
+/// ([`die`]) that lists the known ones.
+pub fn stage_by_name(name: &str) -> Stage {
+    Stage::ALL
+        .into_iter()
+        .find(|s| s.name() == name)
+        .unwrap_or_else(|| {
+            let known: Vec<&str> = Stage::ALL.iter().map(|s| s.name()).collect();
+            die(&format!(
+                "unknown stage `{name}`; expected one of {known:?}"
+            ))
+        })
 }
 
 /// If `--json` was passed, write `value` to `results/<name>.json` and
@@ -101,6 +165,31 @@ mod tests {
         assert!(s.contains("1.040"));
         assert!(s.contains("1.090"));
         assert!(s.contains("x1.05"));
+    }
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn arg_value_takes_the_first_equals_or_spaced_form() {
+        let v = |line: &str| value_in(&args(line), "--out");
+        assert_eq!(v("bin --out=a --out b").as_deref(), Some("a"));
+        assert_eq!(v("bin --out b").as_deref(), Some("b"));
+        assert_eq!(v("bin --out --fast").as_deref(), Some("--fast"));
+        assert_eq!(v("bin --out"), None);
+        assert_eq!(v("bin --outdir=a"), None);
+    }
+
+    #[test]
+    fn a_bare_spec_flag_means_its_default_and_the_last_one_wins() {
+        let v = |line: &str| spec_in(&args(line), "--mc", "n:8");
+        assert_eq!(v("bin --fast"), None);
+        assert_eq!(v("bin --mc").as_deref(), Some("n:8"));
+        assert_eq!(v("bin --mc --fast").as_deref(), Some("n:8"));
+        assert_eq!(v("bin --mc n:4,k:3").as_deref(), Some("n:4,k:3"));
+        assert_eq!(v("bin --mc=off --mc").as_deref(), Some("n:8"));
+        assert_eq!(v("bin --mc --mc=off").as_deref(), Some("off"));
     }
 
     #[test]
