@@ -30,21 +30,19 @@
 //!   / Failed) and a signoff verdict gated on a minimum-signed-corner
 //!   floor, echoing the characterization coverage floor.
 
-use std::sync::Arc;
-use std::thread;
 use std::time::{Duration, Instant};
 
 use cryo_cells::checkpoint::QUARANTINE_KEEP;
-use cryo_cells::{cache, topology, CheckpointStore};
+use cryo_cells::{cache, topology, CellError, CheckpointStore};
 use cryo_liberty::{audit_cross_corner_nearest, audit_library};
-use cryo_spice::{fault, Work};
+use cryo_spice::fault;
 use cryo_sta::MissingArcPolicy;
 use cryo_surrogate::fnv64;
 use serde::{Deserialize, Serialize};
 
 use crate::audit::{self, AuditPolicy};
 use crate::flow::CryoFlow;
-use crate::supervise::{retryable, spawn_counted, validate_env, watch, Watch};
+use crate::supervise::{checkpoint, run_step, validate_env, Step};
 use crate::surrogate::SurrogatePolicy;
 use crate::{CoreError, Result};
 
@@ -768,16 +766,11 @@ impl CornerFarm {
                 spec: self.cfg.spec.spec_string(),
                 corners: corners.iter().map(Corner::name).collect(),
             };
-            let payload = serde_json::to_string(&manifest).expect("manifest serializes");
-            match store.store_blob("manifest", &payload) {
-                Ok(()) => {}
-                // A manifest is provenance, not an input: on a full disk
-                // the farm still runs, it just can't leave its card behind.
-                Err(e) if e.is_no_space() => {
-                    eprintln!("warning: farm manifest write shed ({e})");
-                }
-                Err(e) => return Err(e.into()),
-            }
+            // A manifest is provenance, not an input: on a full disk the
+            // farm still runs, it just can't leave its card behind.
+            checkpoint(&store, "manifest", &manifest, |e| {
+                format!("farm manifest write shed ({e})")
+            })?;
         }
         // The anchor of each (process, VDD) group is its first — warmest —
         // corner in canonical order.
@@ -842,12 +835,11 @@ impl CornerFarm {
         })
     }
 
-    /// Run one corner under the isolation contract: resume from its blob
-    /// when present, otherwise execute the corner pipeline on a watchdog-
-    /// supervised worker with retry-with-backoff, fold the worker's work
-    /// ledger into the calling thread, and checkpoint the outcome —
-    /// including terminal failures, which quarantine as `Failed{cause}` so
-    /// resumes are deterministic and the farm never aborts on a sick
+    /// Run one corner on the supervisor's step runner: resume from its
+    /// blob, or run the corner pipeline with retry-with-backoff under the
+    /// corner budget and checkpoint the outcome. A terminal error or a
+    /// timeout quarantines the corner as a checkpointed `Failed{cause}`,
+    /// so resumes are deterministic and the farm never aborts on a sick
     /// corner.
     fn run_corner(
         &self,
@@ -857,113 +849,53 @@ impl CornerFarm {
         store: &CheckpointStore,
     ) -> Result<(CornerOutcome, CornerRecord)> {
         let name = corner.name();
-        let blob_name = format!("corner_{name}");
-        if let Some(blob) = store.load_blob(&blob_name) {
-            if let Ok(outcome) = serde_json::from_str::<CornerOutcome>(&blob) {
-                return Ok((
-                    outcome,
-                    CornerRecord {
-                        corner: name,
-                        from_checkpoint: true,
-                        attempts: 0,
-                        wall_s: 0.0,
-                        dc_solves: 0,
-                        tran_solves: 0,
-                        arc_evals: 0,
-                    },
-                ));
-            }
-            // Blob from an older schema: recompute and overwrite.
-        }
-
-        let body: Arc<dyn Fn() -> Result<CornerOutcome> + Send + Sync> = {
-            let flow = self.flow.clone();
-            let policy = self.cfg.missing_arc_policy;
-            Arc::new(move || corner_work(&flow, corner, anchor, policy))
+        let label = format!("corner:{name}");
+        let blob = format!("corner_{name}");
+        let step = Step {
+            label: &label,
+            thread: format!("corner-{name}"),
+            blob: &blob,
+            started,
+            overall_budget: self.cfg.overall_budget,
+            budget: self.cfg.corner_budget,
+            max_attempts: self.cfg.max_attempts,
+            backoff: self.cfg.backoff,
+            cancel: None,
+            context: None,
         };
-        let corner_start = Instant::now();
-        let mut spent = Work::default();
-        let mut attempt = 0u32;
-        let quarantine = |outcome: CornerOutcome, attempts: u32, wall_s: f64, spent: Work| {
-            let payload = serde_json::to_string(&outcome).expect("corner outcomes serialize");
-            match store.store_blob(&blob_name, &payload) {
-                Ok(()) => {}
-                // ENOSPC sheds the corner's resume point, never the corner:
-                // the outcome is live in memory and the farm keeps going.
-                Err(e) if e.is_no_space() => {
-                    eprintln!("warning: corner {} checkpoint shed ({e})", corner.name());
-                }
-                Err(e) => return Err(e.into()),
+        // ENOSPC sheds the corner's resume point, never the corner: the
+        // outcome is live in memory and the farm keeps going.
+        let shed = |e: &CellError| format!("corner {name} checkpoint shed ({e})");
+        let flow = self.flow.clone();
+        let policy = self.cfg.missing_arc_policy;
+        let run = run_step(
+            &step,
+            store,
+            |_| {},
+            shed,
+            move || corner_work(&flow, corner, anchor, policy),
+        )?;
+        let outcome = match run.out {
+            Ok(outcome) => outcome,
+            Err(e) => {
+                eprintln!("warning: corner {name} quarantined: {e}");
+                let failed = CornerOutcome::failed(corner, e.to_string());
+                checkpoint(store, &blob, &failed, shed)?;
+                failed
             }
-            Ok((
-                outcome,
-                CornerRecord {
-                    corner: corner.name(),
-                    from_checkpoint: false,
-                    attempts,
-                    wall_s,
-                    dc_solves: spent.dc,
-                    tran_solves: spent.tran,
-                    arc_evals: spent.arc_evals,
-                },
-            ))
         };
-        loop {
-            attempt += 1;
-            let remaining = self
-                .cfg
-                .overall_budget
-                .checked_sub(started.elapsed())
-                .unwrap_or(Duration::ZERO);
-            let wait = self.cfg.corner_budget.min(remaining);
-
-            let work = Arc::clone(&body);
-            let rx = spawn_counted(format!("corner-{name}"), move || work());
-            match watch(&rx, None, Some(wait)) {
-                Watch::Done((out, used)) => {
-                    spent += used;
-                    match out {
-                        Ok(outcome) => {
-                            return quarantine(
-                                outcome,
-                                attempt,
-                                corner_start.elapsed().as_secs_f64(),
-                                spent,
-                            );
-                        }
-                        Err(e) => {
-                            if attempt >= self.cfg.max_attempts || !retryable(&e) {
-                                eprintln!("warning: corner {name} quarantined: {e}");
-                                return quarantine(
-                                    CornerOutcome::failed(corner, e.to_string()),
-                                    attempt,
-                                    corner_start.elapsed().as_secs_f64(),
-                                    spent,
-                                );
-                            }
-                            thread::sleep(self.cfg.backoff * (1u32 << (attempt - 1).min(16)));
-                        }
-                    }
-                }
-                Watch::Timeout => {
-                    // The worker is leaked (it holds no locks); the corner
-                    // quarantines as Failed, like any terminal error.
-                    let e = CoreError::StageTimeout {
-                        stage: format!("corner:{name}"),
-                        budget_s: wait.as_secs_f64(),
-                    };
-                    eprintln!("warning: corner {name} quarantined: {e}");
-                    return quarantine(
-                        CornerOutcome::failed(corner, e.to_string()),
-                        attempt,
-                        corner_start.elapsed().as_secs_f64(),
-                        spent,
-                    );
-                }
-                Watch::Cancelled => unreachable!("the farm waits without a cancel token"),
-                Watch::Disconnected => panic!("corner {name} worker panicked"),
-            }
-        }
+        Ok((
+            outcome,
+            CornerRecord {
+                corner: name,
+                from_checkpoint: run.from_checkpoint,
+                attempts: run.attempts,
+                wall_s: run.wall_s,
+                dc_solves: run.work.dc,
+                tran_solves: run.work.tran,
+                arc_evals: run.work.arc_evals,
+            },
+        ))
     }
 }
 

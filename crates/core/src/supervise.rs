@@ -26,6 +26,10 @@
 //! - **Degraded-mode signoff.** STA stages run under the configured
 //!   [`MissingArcPolicy`], so a partially characterized corner still
 //!   produces a complete, explicitly flagged timing report.
+//!
+//! Checkpoints, budgets and retries have one implementation, a
+//! crate-private step runner that the corner farm ([`crate::corners`])
+//! shares.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -33,7 +37,7 @@ use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use cryo_cells::{cache, topology, CharReport, CheckpointStore, SurrogateSummary};
+use cryo_cells::{cache, topology, CellError, CharReport, CheckpointStore, SurrogateSummary};
 use cryo_liberty::{
     audit_cross_corner, audit_library, audit_lvf_cross_corner, AuditReport, Library,
 };
@@ -41,6 +45,7 @@ use cryo_power::{ActivityProfile, PowerReport};
 use cryo_spice::work::{self, Work};
 use cryo_spice::{fault, FaultPlan};
 use cryo_sta::{audit_timing, MissingArcPolicy, TimingReport};
+use cryo_surrogate::fnv64;
 use serde::{Deserialize, Serialize};
 
 use crate::audit::{self, AuditPolicy};
@@ -1302,19 +1307,12 @@ impl Supervisor {
             report,
             mean_delay,
         };
-        let payload = serde_json::to_string(&art).expect("stage artifacts serialize");
-        if let Err(e) = store.store_blob(blob_name, &payload) {
-            if e.is_no_space() {
-                let w = format!(
-                    "repaired-checkpoint write shed at stage {}: {e}",
-                    stage.name()
-                );
-                eprintln!("warning: {w}");
-                warnings.push(w);
-            } else {
-                return Err(e.into());
-            }
-        }
+        warnings.extend(checkpoint(store, blob_name, &art, |e| {
+            format!(
+                "repaired-checkpoint write shed at stage {}: {e}",
+                stage.name()
+            )
+        })?);
         Ok(art)
     }
 
@@ -1357,130 +1355,224 @@ impl Supervisor {
         T: Serialize + Deserialize + Send + 'static,
         F: Fn() -> Result<T> + Send + Sync + 'static,
     {
-        if let Some(cancel) = &self.hooks.cancel {
-            if cancel.is_cancelled() {
-                return Err(CoreError::Cancelled {
-                    stage: stage.name().to_string(),
-                });
-            }
-        }
-        if let Some(blob) = store.load_blob(blob_name) {
-            if let Ok(artifact) = serde_json::from_str::<T>(&blob) {
-                self.emit(PipelineEvent::StageFinished {
-                    stage,
-                    from_checkpoint: true,
-                    attempts: 0,
-                    wall_s: 0.0,
-                });
-                records.push(StageRecord {
-                    stage,
-                    from_checkpoint: true,
-                    attempts: 0,
-                    wall_s: 0.0,
-                    dc_solves: 0,
-                    tran_solves: 0,
-                    arc_evals: 0,
-                });
-                return Ok(artifact);
-            }
-            // Artifact from an older schema: recompute and overwrite.
-        }
+        let name = stage.name();
+        let step = Step {
+            label: name,
+            thread: format!("stage-{name}"),
+            blob: blob_name,
+            started,
+            overall_budget: self.cfg.overall_budget,
+            budget: self.cfg.stage_budget,
+            max_attempts: self.cfg.max_attempts,
+            backoff: self.cfg.backoff,
+            cancel: self.hooks.cancel.as_ref(),
+            context: Some(match &self.hooks.context {
+                Some(ctx) => format!("{ctx}/stage:{name}"),
+                None => format!("stage:{name}"),
+            }),
+        };
+        let run = run_step(
+            &step,
+            store,
+            |attempt| self.emit(PipelineEvent::StageStarted { stage, attempt }),
+            |e| format!("checkpoint shed at stage {name}: {e}"),
+            body,
+        )?;
+        let artifact = run.out?;
+        warnings.extend(run.shed);
+        self.emit(PipelineEvent::StageFinished {
+            stage,
+            from_checkpoint: run.from_checkpoint,
+            attempts: run.attempts,
+            wall_s: run.wall_s,
+        });
+        records.push(StageRecord {
+            stage,
+            from_checkpoint: run.from_checkpoint,
+            attempts: run.attempts,
+            wall_s: run.wall_s,
+            dc_solves: run.work.dc,
+            tran_solves: run.work.tran,
+            arc_evals: run.work.arc_evals,
+        });
+        Ok(artifact)
+    }
+}
 
-        let body = Arc::new(body);
-        let stage_start = Instant::now();
-        let mut spent = Work::default();
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            let remaining = self
-                .cfg
-                .overall_budget
-                .checked_sub(started.elapsed())
-                .unwrap_or(Duration::ZERO);
-            let wait = self.cfg.stage_budget.min(remaining);
-            self.emit(PipelineEvent::StageStarted { stage, attempt });
+// ----------------------------------------------------------------------
+// The step runner (shared by pipeline stages and farm corners)
+// ----------------------------------------------------------------------
 
-            let work = Arc::clone(&body);
-            let label = match &self.hooks.context {
-                Some(ctx) => format!("{ctx}/stage:{}", stage.name()),
-                None => format!("stage:{}", stage.name()),
-            };
-            let rx = spawn_counted(format!("stage-{}", stage.name()), move || {
-                fault::set_context(&label);
-                work()
-            });
+/// One supervised step: what [`run_step`] needs besides its store, hooks
+/// and body. The supervisor's stages and the farm's corners differ only
+/// in these values.
+pub(crate) struct Step<'a> {
+    /// Name in the step's `StageTimeout` and `Cancelled` errors.
+    pub label: &'a str,
+    /// Worker thread name.
+    pub thread: String,
+    /// Checkpoint blob the step resumes from and writes.
+    pub blob: &'a str,
+    /// When the whole run started.
+    pub started: Instant,
+    /// The whole run's budget; each attempt waits at most what remains.
+    pub overall_budget: Duration,
+    /// Per-attempt budget.
+    pub budget: Duration,
+    /// Attempts before a retryable error is final (1 = no retry).
+    pub max_attempts: u32,
+    /// Initial retry backoff; doubles per attempt.
+    pub backoff: Duration,
+    /// Checked before the step and between watchdog poll slices.
+    pub cancel: Option<&'a CancelToken>,
+    /// Fault-injection context each worker installs (`None` installs none).
+    pub context: Option<String>,
+}
 
-            match watch(&rx, self.hooks.cancel.as_ref(), Some(wait)) {
-                Watch::Done((out, used)) => {
-                    spent += used;
-                    match out {
-                        Ok(artifact) => {
-                            let payload = serde_json::to_string(&artifact)
-                                .expect("stage artifacts serialize");
-                            if let Err(e) = store.store_blob(blob_name, &payload) {
-                                if e.is_no_space() {
-                                    // ENOSPC degrades durability, never the
-                                    // run: the artifact is live in memory,
-                                    // only its resume point is shed.
-                                    let w =
-                                        format!("checkpoint shed at stage {}: {e}", stage.name());
-                                    eprintln!("warning: {w}");
-                                    warnings.push(w);
-                                } else {
-                                    return Err(e.into());
-                                }
-                            }
-                            let wall_s = stage_start.elapsed().as_secs_f64();
-                            self.emit(PipelineEvent::StageFinished {
-                                stage,
-                                from_checkpoint: false,
-                                attempts: attempt,
-                                wall_s,
-                            });
-                            records.push(StageRecord {
-                                stage,
-                                from_checkpoint: false,
-                                attempts: attempt,
-                                wall_s,
-                                dc_solves: spent.dc,
-                                tran_solves: spent.tran,
-                                arc_evals: spent.arc_evals,
-                            });
-                            return Ok(artifact);
-                        }
-                        Err(e) => {
-                            if attempt >= self.cfg.max_attempts || !retryable(&e) {
-                                return Err(e);
-                            }
-                            thread::sleep(self.cfg.backoff * (1u32 << (attempt - 1).min(16)));
-                        }
-                    }
-                }
-                Watch::Timeout => {
-                    // The worker is leaked: it holds no locks, and its
-                    // checkpoint is never written, so the stage reruns on
-                    // the next invocation.
-                    return Err(CoreError::StageTimeout {
-                        stage: stage.name().to_string(),
-                        budget_s: wait.as_secs_f64(),
-                    });
-                }
-                Watch::Cancelled => {
-                    // Like a timeout, the worker is detached, not killed:
-                    // if its stage completes it still writes nothing (the
-                    // channel receiver is gone before the store call —
-                    // the artifact is only checkpointed on this thread),
-                    // while every stage checkpoint committed *before*
-                    // this point stays on disk for the next resume.
-                    return Err(CoreError::Cancelled {
-                        stage: stage.name().to_string(),
-                    });
-                }
-                Watch::Disconnected => {
-                    panic!("stage {} worker panicked", stage.name());
+/// What [`run_step`] returns, on success and on failure alike.
+pub(crate) struct StepRun<T> {
+    /// The artifact, or what ended the step: the body's last error,
+    /// [`CoreError::StageTimeout`] or [`CoreError::Cancelled`].
+    pub out: Result<T>,
+    /// `true` when the artifact was loaded from its blob.
+    pub from_checkpoint: bool,
+    /// Attempts started (0 when resumed or cancelled up front).
+    pub attempts: u32,
+    /// Wall-clock seconds spent (0 when resumed).
+    pub wall_s: f64,
+    /// Work the attempts spent, already folded into the caller's ledger.
+    pub work: Work,
+    /// The warning when a full disk shed the artifact's checkpoint.
+    pub shed: Option<String>,
+}
+
+/// Run one step under the supervision contract (DESIGN.md §9): resume
+/// from its blob when the blob decodes; otherwise run `body` on a
+/// [`spawn_counted`] worker under [`watch`], with `on_attempt(n)` called
+/// before attempt `n`, retry [`retryable`] errors with doubling backoff,
+/// and checkpoint the artifact (`shed` words the warning when a full disk
+/// sheds the write).
+///
+/// # Errors
+///
+/// Only a checkpoint write that fails for a reason other than a full
+/// disk; the step's own failure is in [`StepRun::out`].
+pub(crate) fn run_step<T, F>(
+    step: &Step<'_>,
+    store: &CheckpointStore,
+    on_attempt: impl Fn(u32),
+    shed: impl FnOnce(&CellError) -> String,
+    body: F,
+) -> Result<StepRun<T>>
+where
+    T: Serialize + Deserialize + Send + 'static,
+    F: Fn() -> Result<T> + Send + Sync + 'static,
+{
+    let cancelled = || CoreError::Cancelled {
+        stage: step.label.to_string(),
+    };
+    let not_run = |out, from_checkpoint| StepRun {
+        out,
+        from_checkpoint,
+        attempts: 0,
+        wall_s: 0.0,
+        work: Work::default(),
+        shed: None,
+    };
+    if step.cancel.is_some_and(CancelToken::is_cancelled) {
+        return Ok(not_run(Err(cancelled()), false));
+    }
+    // A blob from an older schema does not decode: recompute and overwrite.
+    if let Some(artifact) = store
+        .load_blob(step.blob)
+        .and_then(|blob| serde_json::from_str::<T>(&blob).ok())
+    {
+        return Ok(not_run(Ok(artifact), true));
+    }
+
+    let body = Arc::new(body);
+    let step_start = Instant::now();
+    let mut work = Work::default();
+    let mut attempts = 0u32;
+    let out = loop {
+        attempts += 1;
+        let remaining = step
+            .overall_budget
+            .checked_sub(step.started.elapsed())
+            .unwrap_or(Duration::ZERO);
+        let wait = step.budget.min(remaining);
+        on_attempt(attempts);
+
+        let body = Arc::clone(&body);
+        let context = step.context.clone();
+        let rx = spawn_counted(step.thread.clone(), move || {
+            if let Some(label) = &context {
+                fault::set_context(label);
+            }
+            body()
+        });
+        match watch(&rx, step.cancel, Some(wait)) {
+            Watch::Done((out, used)) => {
+                work += used;
+                match out {
+                    Ok(artifact) => break Ok(artifact),
+                    Err(e) if attempts >= step.max_attempts || !retryable(&e) => break Err(e),
+                    Err(_) => thread::sleep(step.backoff * (1u32 << (attempts - 1).min(16))),
                 }
             }
+            // The worker is leaked: it holds no locks, and its artifact is
+            // never checkpointed, so the step reruns on the next invocation.
+            Watch::Timeout => {
+                break Err(CoreError::StageTimeout {
+                    stage: step.label.to_string(),
+                    budget_s: wait.as_secs_f64(),
+                })
+            }
+            // Like a timeout, the worker is detached, not killed: if it
+            // completes it still writes nothing (the artifact is only
+            // checkpointed on this thread), while every checkpoint
+            // committed before this point stays on disk for the next resume.
+            Watch::Cancelled => break Err(cancelled()),
+            Watch::Disconnected => panic!("{} worker panicked", step.thread),
         }
+    };
+    let shed = match &out {
+        Ok(artifact) => checkpoint(store, step.blob, artifact, shed)?,
+        Err(_) => None,
+    };
+    Ok(StepRun {
+        out,
+        from_checkpoint: false,
+        attempts,
+        wall_s: step_start.elapsed().as_secs_f64(),
+        work,
+        shed,
+    })
+}
+
+/// Serialize `artifact` into the checkpoint blob `blob`. A full disk
+/// (`ENOSPC`) degrades durability, never the run: the artifact is live in
+/// memory and only its resume point is shed. The warning `shed` words for
+/// the error is printed and returned.
+///
+/// # Errors
+///
+/// Any other store failure.
+pub(crate) fn checkpoint<T: Serialize>(
+    store: &CheckpointStore,
+    blob: &str,
+    artifact: &T,
+    shed: impl FnOnce(&CellError) -> String,
+) -> Result<Option<String>> {
+    let payload = serde_json::to_string(artifact).expect("checkpoint artifacts serialize");
+    match store.store_blob(blob, &payload) {
+        Ok(()) => Ok(None),
+        Err(e) if e.is_no_space() => {
+            let w = shed(&e);
+            eprintln!("warning: {w}");
+            Ok(Some(w))
+        }
+        Err(e) => Err(e.into()),
     }
 }
 
@@ -1560,10 +1652,9 @@ pub enum Watch<M> {
 }
 
 /// Whether an error is worth retrying. Coverage shortfalls, configuration
-/// rejections, timeouts, and post-repair audit failures are deterministic —
-/// retrying only burns budget. Shared with the corner farm, whose signoff
-/// shortfall is equally deterministic.
-pub(crate) fn retryable(e: &CoreError) -> bool {
+/// rejections, timeouts, post-repair audit failures and the farm's signoff
+/// shortfall are deterministic — retrying only burns budget.
+fn retryable(e: &CoreError) -> bool {
     !matches!(
         e,
         CoreError::Coverage { .. }
@@ -1585,16 +1676,6 @@ fn rebuild_profile(a: &ActivityArtifact) -> ActivityProfile {
         p.set_macro_access(name, *per_cycle);
     }
     p
-}
-
-/// FNV-1a 64-bit digest, 16 hex digits.
-fn fnv64(s: &str) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    format!("{h:016x}")
 }
 
 #[cfg(test)]
@@ -1638,12 +1719,6 @@ mod tests {
     }
 
     #[test]
-    fn fnv64_matches_reference_vector() {
-        // FNV-1a("a") = 0xaf63dc4c8601ec8c
-        assert_eq!(fnv64("a"), "af63dc4c8601ec8c");
-    }
-
-    #[test]
     fn retry_policy_spares_deterministic_failures() {
         assert!(!retryable(&CoreError::Config {
             var: "CRYO_FAULTS".into(),
@@ -1662,6 +1737,157 @@ mod tests {
                 instance: "u1".into(),
             }
         )));
+    }
+
+    /// A fresh checkpoint store for one runner test.
+    fn step_store(tag: &str) -> CheckpointStore {
+        let dir = std::env::temp_dir().join(format!("cryo_step_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        CheckpointStore::open(&dir, "step", "test").unwrap()
+    }
+
+    fn step<'a>(budget: Duration, cancel: Option<&'a CancelToken>) -> Step<'a> {
+        Step {
+            label: "synthetic",
+            thread: "step-synthetic".into(),
+            blob: "artifact",
+            started: Instant::now(),
+            overall_budget: Duration::from_secs(60),
+            budget,
+            max_attempts: 3,
+            backoff: Duration::from_millis(1),
+            cancel,
+            context: None,
+        }
+    }
+
+    fn run_synthetic<F>(step: &Step<'_>, store: &CheckpointStore, body: F) -> StepRun<u64>
+    where
+        F: Fn() -> Result<u64> + Send + Sync + 'static,
+    {
+        run_step(step, store, |_| {}, |e| format!("shed: {e}"), body).expect("healthy store")
+    }
+
+    /// A body that counts its calls.
+    fn counted(
+        calls: &Arc<std::sync::atomic::AtomicU32>,
+        body: impl Fn(u32) -> Result<u64> + Send + Sync + 'static,
+    ) -> impl Fn() -> Result<u64> + Send + Sync + 'static {
+        let calls = Arc::clone(calls);
+        move || body(calls.fetch_add(1, Ordering::SeqCst) + 1)
+    }
+
+    #[test]
+    fn step_retries_a_transient_error_then_checkpoints_the_artifact() {
+        let store = step_store("retry");
+        let calls = Arc::default();
+        let started = std::cell::RefCell::new(Vec::new());
+        let body = counted(&calls, |call| {
+            if call == 1 {
+                Err(CoreError::Power(
+                    cryo_power::PowerError::NonFiniteAccumulation {
+                        instance: "u1".into(),
+                    },
+                ))
+            } else {
+                Ok(42)
+            }
+        });
+        let hook = |attempt| started.borrow_mut().push(attempt);
+        let budget = Duration::from_secs(60);
+        let run = run_step(&step(budget, None), &store, hook, |e| format!("{e}"), body).unwrap();
+        assert_eq!(run.out.unwrap(), 42);
+        assert_eq!((run.from_checkpoint, run.attempts), (false, 2));
+        assert_eq!(
+            *started.borrow(),
+            vec![1, 2],
+            "the hook runs before each attempt"
+        );
+        assert_eq!(
+            store.load_blob("artifact"),
+            serde_json::to_string(&42u64).ok()
+        );
+        assert!(run.shed.is_none());
+    }
+
+    #[test]
+    fn step_stops_at_a_terminal_error_and_writes_no_blob() {
+        let store = step_store("terminal");
+        let calls = Arc::default();
+        let body = counted(&calls, |_| {
+            Err(CoreError::Config {
+                var: "CRYO_JOBS".into(),
+                value: "x".into(),
+                reason: "bad".into(),
+            })
+        });
+        let run = run_synthetic(&step(Duration::from_secs(60), None), &store, body);
+        assert!(
+            matches!(run.out, Err(CoreError::Config { .. })),
+            "{:?}",
+            run.out
+        );
+        assert_eq!(run.attempts, 1);
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
+        assert!(store.load_blob("artifact").is_none());
+    }
+
+    #[test]
+    fn step_overrun_is_a_labelled_timeout_and_writes_no_blob() {
+        let store = step_store("overrun");
+        let budget = Duration::from_millis(20);
+        let run = run_synthetic(&step(budget, None), &store, || {
+            thread::sleep(Duration::from_millis(300));
+            Ok(1)
+        });
+        match run.out {
+            Err(CoreError::StageTimeout { stage, budget_s }) => {
+                assert_eq!(stage, "synthetic");
+                assert_eq!(budget_s, budget.as_secs_f64());
+            }
+            other => panic!("expected StageTimeout, got {other:?}"),
+        }
+        assert_eq!((run.attempts, run.work), (1, Work::default()));
+        // The leaked worker finishes later and still writes nothing.
+        thread::sleep(Duration::from_millis(400));
+        assert!(store.load_blob("artifact").is_none());
+    }
+
+    #[test]
+    fn step_recomputes_an_undecodable_blob_and_resumes_the_new_one() {
+        let store = step_store("schema");
+        store.store_blob("artifact", "\"an older schema\"").unwrap();
+        let run = run_synthetic(&step(Duration::from_secs(60), None), &store, || Ok(7));
+        assert_eq!((run.from_checkpoint, run.attempts), (false, 1));
+        assert_eq!(run.out.unwrap(), 7);
+        assert_eq!(
+            store.load_blob("artifact"),
+            serde_json::to_string(&7u64).ok()
+        );
+
+        let resumed = run_synthetic(&step(Duration::from_secs(60), None), &store, || {
+            unreachable!("a resumed step never runs its body")
+        });
+        assert_eq!(resumed.out.unwrap(), 7);
+        assert!(resumed.from_checkpoint);
+        assert_eq!((resumed.attempts, resumed.wall_s), (0, 0.0));
+        assert_eq!(resumed.work, Work::default());
+    }
+
+    #[test]
+    fn cancelled_step_returns_before_any_attempt() {
+        let store = step_store("cancel");
+        let token = CancelToken::new();
+        token.cancel();
+        let calls = Arc::default();
+        let body = counted(&calls, |_| Ok(1));
+        let run = run_synthetic(&step(Duration::from_secs(60), Some(&token)), &store, body);
+        match run.out {
+            Err(CoreError::Cancelled { stage }) => assert_eq!(stage, "synthetic"),
+            other => panic!("expected Cancelled, got {other:?}"),
+        }
+        assert_eq!((run.attempts, calls.load(Ordering::SeqCst)), (0, 0));
+        assert!(store.load_blob("artifact").is_none());
     }
 
     #[test]
