@@ -127,6 +127,14 @@ fn tiny_soc_signs_off_at_both_corners() {
     };
     assert!(injections > 0, "the fault plan must fire");
     assert!(degraded.degraded_arcs.len() > injections as usize);
+    // Toggle counts of the measured-activity test's vectors, as one digest
+    // of every net's count (little-endian `u64`s in net order).
+    let toggles = simulate_toggles(&design, &lib300, &toggle_vectors(&design)).expect("toggles");
+    let toggle_bytes: Vec<u8> = toggles
+        .toggles
+        .iter()
+        .flat_map(|t| t.to_le_bytes())
+        .collect();
     let verilog = write_verilog(&design);
     check_signoff_golden(Value::Object(vec![
         ("timing_300k".into(), t300.to_value()),
@@ -142,6 +150,11 @@ fn tiny_soc_signs_off_at_both_corners() {
             content_digest(verilog.as_bytes()).to_value(),
         ),
         ("verilog_bytes".into(), verilog.len().to_value()),
+        (
+            "toggles_digest".into(),
+            content_digest(&toggle_bytes).to_value(),
+        ),
+        ("toggle_cycles".into(), toggles.cycles.to_value()),
     ]));
 }
 
@@ -202,17 +215,11 @@ fn check_signoff_golden(got: Value) {
     }
 }
 
-#[test]
-fn measured_toggles_agree_with_profile_order_of_magnitude() {
-    // The paper extracts real switching activity from gate-level
-    // simulation; our region profiles must land in the same regime as the
-    // measured-toggle path on a design where both are tractable.
-    let design = build_soc(&SocConfig::tiny());
-    let lib = library_for_design(&design, 300.0);
-    // Pseudo-random primary-input vectors (rstn held high).
+/// 48 pseudo-random primary-input vectors from a fixed xorshift seed.
+fn toggle_vectors(design: &cryo_soc::netlist::Design) -> Vec<Vec<bool>> {
     let n_pi = design.primary_inputs.len();
     let mut seed = 0xACDCu64;
-    let vectors: Vec<Vec<bool>> = (0..48)
+    (0..48)
         .map(|_| {
             (0..n_pi)
                 .map(|_| {
@@ -223,8 +230,17 @@ fn measured_toggles_agree_with_profile_order_of_magnitude() {
                 })
                 .collect()
         })
-        .collect();
-    let toggles = simulate_toggles(&design, &lib, &vectors).expect("toggle sim");
+        .collect()
+}
+
+#[test]
+fn measured_toggles_agree_with_profile_order_of_magnitude() {
+    // The paper extracts real switching activity from gate-level
+    // simulation; our region profiles must land in the same regime as the
+    // measured-toggle path on a design where both are tractable.
+    let design = build_soc(&SocConfig::tiny());
+    let lib = library_for_design(&design, 300.0);
+    let toggles = simulate_toggles(&design, &lib, &toggle_vectors(&design)).expect("toggle sim");
     assert!(toggles.mean_activity() > 0.0, "something must switch");
     let cfg = PowerConfig::at(&ModelCard::nominal(Polarity::N), 300.0, 1e9);
     let profile = ActivityProfile::with_default(toggles.mean_activity());
