@@ -125,8 +125,10 @@ impl<T> WorkerHandle<'_, T> {
 /// One job runs the plain serial loop on the calling thread and then
 /// resets the fault context to `""`. More jobs run scoped workers that
 /// each enter the caller's [`work::capture`]d context, drain the batch,
-/// and hand their whole [`work::Work`] back once; the caller folds it in,
-/// so its [`work::get`] covers every solve the batch ran, at any job count.
+/// and hand their whole [`work::Work`] and fired-fault count back once;
+/// the caller folds them in, so its [`work::get`] and
+/// [`fault::injection_count`] cover every solve and fault the batch ran,
+/// at any job count.
 pub fn map<T: Send>(n: usize, jobs: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
     let jobs = jobs.min(n).max(1);
     if jobs == 1 {
@@ -142,20 +144,20 @@ pub fn map<T: Send>(n: usize, jobs: usize, f: impl Fn(usize) -> T + Sync) -> Vec
             .map(|w| {
                 let (handle, ctx, f) = (set.worker(w), &ctx, &f);
                 s.spawn(move || {
-                    let _ctx = ctx.enter();
+                    let entered = ctx.enter();
                     let mut done = Vec::new();
                     while let Some(i) = handle.find_task() {
                         done.push((i, f(i)));
                     }
-                    (done, work::take())
+                    (done, entered.leave())
                 })
             })
             .collect();
         for worker in workers {
-            let (done, spent) = worker
+            let (done, handback) = worker
                 .join()
                 .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            work::add(spent);
+            handback.fold();
             for (i, out) in done {
                 slots[i] = Some(out);
             }
@@ -303,6 +305,22 @@ mod tests {
             });
             assert_eq!(out, (0..50).map(|i| i * 2).collect::<Vec<_>>());
             assert_eq!(work::take().dc, 50, "jobs={jobs}");
+        }
+    }
+
+    #[test]
+    fn map_folds_every_workers_fired_faults() {
+        for jobs in [1, 4] {
+            let _g = fault::install_guard(fault::FaultPlan {
+                sta_lookup: 1.0,
+                ..fault::FaultPlan::new(5)
+            });
+            let fired = map(8, jobs, |i| {
+                fault::set_context(&format!("item{i}"));
+                fault::should_fault_sta_lookup()
+            });
+            assert_eq!(fired, [true; 8], "jobs={jobs}");
+            assert_eq!(fault::injection_count(), 8, "jobs={jobs}");
         }
     }
 

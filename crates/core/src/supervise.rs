@@ -42,7 +42,7 @@ use cryo_liberty::{
     audit_cross_corner, audit_library, audit_lvf_cross_corner, AuditReport, Library,
 };
 use cryo_power::{ActivityProfile, PowerReport};
-use cryo_spice::work::{self, Work};
+use cryo_spice::work::{self, Handback, Work};
 use cryo_spice::{fault, FaultPlan};
 use cryo_sta::{audit_timing, MissingArcPolicy, TimingReport};
 use cryo_surrogate::fnv64;
@@ -1578,8 +1578,9 @@ pub(crate) fn checkpoint<T: Serialize>(
 
 /// Run `body` on a fresh thread named `name`, in the caller's
 /// [`work::capture`]d context (fault plan and warm-start setting).
-/// The receiver yields the result together with the whole [`Work`] the
-/// thread spent; [`watch`] folds that into the waiting thread's ledger.
+/// The receiver yields the result together with the thread's
+/// [`Handback`]: the whole [`Work`] it spent and the faults it fired;
+/// [`watch`] folds that into the waiting thread.
 ///
 /// This is the watchdog half of the rule that work crosses threads only
 /// through a helper that hands the whole ledger back (`sched::map` is the
@@ -1588,27 +1589,27 @@ pub(crate) fn checkpoint<T: Serialize>(
 pub fn spawn_counted<T: Send + 'static>(
     name: String,
     body: impl FnOnce() -> T + Send + 'static,
-) -> mpsc::Receiver<(T, Work)> {
+) -> mpsc::Receiver<(T, Handback)> {
     let (tx, rx) = mpsc::channel();
     let ctx = work::capture();
     thread::Builder::new()
         .name(name)
         .spawn(move || {
-            let _ctx = ctx.enter();
+            let entered = ctx.enter();
             let out = body();
-            let _ = tx.send((out, work::take()));
+            let _ = tx.send((out, entered.leave()));
         })
         .expect("spawn counted worker");
     rx
 }
 
 /// Wait for a [`spawn_counted`] worker for at most `budget` (`None` waits
-/// without a deadline) and fold the work it spent into this thread's
-/// ledger. Without a cancellation token this is one bounded
+/// without a deadline) and fold the work it spent and the faults it fired
+/// into this thread. Without a cancellation token this is one bounded
 /// `recv_timeout`; with one it polls in 25 ms slices, so an abandoned
 /// request stops waiting within one slice.
 pub fn watch<T>(
-    rx: &mpsc::Receiver<(T, Work)>,
+    rx: &mpsc::Receiver<(T, Handback)>,
     cancel: Option<&CancelToken>,
     budget: Option<Duration>,
 ) -> Watch<(T, Work)> {
@@ -1628,10 +1629,7 @@ pub fn watch<T>(
             None => left,
         };
         match rx.recv_timeout(slice) {
-            Ok((out, spent)) => {
-                work::add(spent);
-                return Watch::Done((out, spent));
-            }
+            Ok((out, handback)) => return Watch::Done((out, handback.fold())),
             Err(mpsc::RecvTimeoutError::Timeout) => {}
             Err(mpsc::RecvTimeoutError::Disconnected) => return Watch::Disconnected,
         }
@@ -1888,6 +1886,25 @@ mod tests {
         }
         assert_eq!((run.attempts, calls.load(Ordering::SeqCst)), (0, 0));
         assert!(store.load_blob("artifact").is_none());
+    }
+
+    #[test]
+    fn a_watched_worker_hands_back_its_work_and_fired_faults() {
+        let _g = fault::install_guard(FaultPlan {
+            sta_lookup: 1.0,
+            ..FaultPlan::new(2)
+        });
+        let _ = work::take();
+        let rx = spawn_counted("fired".into(), || {
+            work::bump(|w| w.arc_evals += 3);
+            (0..2).all(|_| fault::should_fault_sta_lookup())
+        });
+        let Watch::Done((fired, spent)) = watch(&rx, None, None) else {
+            panic!("the worker finishes");
+        };
+        assert!(fired);
+        assert_eq!((spent.arc_evals, work::take().arc_evals), (3, 3));
+        assert_eq!(fault::injection_count(), 2);
     }
 
     #[test]

@@ -453,10 +453,22 @@ pub fn is_active() -> bool {
     INJECTOR.with(|i| i.borrow().is_some())
 }
 
-/// Number of faults the active injector has fired so far (0 when idle).
+/// Number of faults the active injector has fired so far (0 when idle),
+/// counting those its workers fired and handed back
+/// ([`crate::work::Handback::fold`]).
 #[must_use]
 pub fn injection_count() -> u32 {
     INJECTOR.with(|i| i.borrow().as_ref().map_or(0, |inj| inj.fired))
+}
+
+/// Count `n` faults fired on a worker thread against the active injector
+/// (nothing when idle). Budgets are per context, so none changes.
+pub(crate) fn add_injections(n: u32) {
+    INJECTOR.with(|i| {
+        if let Some(inj) = i.borrow_mut().as_mut() {
+            inj.fired += n;
+        }
+    });
 }
 
 /// Label the current injection context (typically the cell under

@@ -8,14 +8,14 @@
 //! *not* re-simulated, and kernel tests can prove that symbolic reuse and
 //! warm starts actually skip work.
 //!
-//! A worker thread drains its ledger with [`take`] when it finishes and
-//! the thread that handed it the work folds that back with [`add`], so
-//! from the caller's perspective [`get`] covers all the work it fanned out,
-//! while unrelated threads (e.g. other `#[test]`s) stay untouched. Work
-//! crosses threads only through `cryo_cells::sched::map` and
-//! `cryo_core::supervise::spawn_counted`; both hand back the whole
-//! [`Work`], and both start their workers in the caller's [`capture`]d
-//! [`Inherited`] context.
+//! A worker thread starts in its caller's [`capture`]d [`Inherited`]
+//! context and, when it finishes, [`Entered::leave`]s it with a
+//! [`Handback`]: its whole ledger and the faults its injector fired. The
+//! thread that handed it the work [`Handback::fold`]s that in, so from the
+//! caller's perspective [`get`] and `fault::injection_count` cover all the
+//! work it fanned out, while unrelated threads (e.g. other `#[test]`s) stay
+//! untouched. Work crosses threads only through `cryo_cells::sched::map`
+//! and `cryo_core::supervise::spawn_counted`.
 
 use std::cell::Cell;
 use std::ops::AddAssign;
@@ -141,6 +141,36 @@ impl Inherited {
 pub struct Entered {
     _plan: Option<FaultGuard>,
     _warmstart: WarmstartOverrideGuard,
+}
+
+impl Entered {
+    /// Leave the context and hand back what this thread did in it: its
+    /// whole ledger (drained) and the faults its private injector fired.
+    pub fn leave(self) -> Handback {
+        Handback {
+            work: take(),
+            faults: fault::injection_count(),
+        }
+    }
+}
+
+/// What a worker hands back to the thread that gave it work, from
+/// [`Entered::leave`].
+#[derive(Debug, Clone, Copy)]
+#[must_use]
+pub struct Handback {
+    work: Work,
+    faults: u32,
+}
+
+impl Handback {
+    /// Fold the worker's work into this thread's ledger and its fired
+    /// faults into this thread's injector count; returns the work.
+    pub fn fold(self) -> Work {
+        add(self.work);
+        fault::add_injections(self.faults);
+        self.work
+    }
 }
 
 #[cfg(test)]
