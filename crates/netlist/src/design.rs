@@ -1,13 +1,23 @@
 //! The gate-level design container.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use cryo_liberty::Library;
 
+use std::convert::Infallible;
+
+use cryo_spice::work;
+
 use crate::sram::SramMacro;
 use crate::{NetlistError, Result};
+
+/// Fewest nets [`Design::net_loads`] hands a thread: below this, a
+/// thread's start-up costs more than the loads it sums.
+const MIN_NETS_PER_THREAD: usize = 16_384;
 
 /// Identifier of a net within a [`Design`].
 pub type NetId = usize;
@@ -86,8 +96,8 @@ pub struct MacroInstance {
 /// Instances are stored as indices: each holds its interned cell type and
 /// region, an offset into one flat array of pin nets, and its clock net.
 /// Net and instance names live end to end in two string arenas. The
-/// connectivity index is built on first use and kept until a net, an
-/// instance or a macro is added.
+/// connectivity index and the levels are built on first use and kept
+/// until a net, an instance or a macro is added.
 #[derive(Debug, Clone, Default)]
 pub struct Design {
     /// Design name.
@@ -107,6 +117,8 @@ pub struct Design {
     pub clock: Option<NetId>,
     /// [`Design::connectivity`], once built.
     conn: OnceLock<Connectivity>,
+    /// [`Design::levels`], once built.
+    levels: OnceLock<Levels>,
 }
 
 impl Design {
@@ -121,7 +133,7 @@ impl Design {
 
     /// Register a new net and return its id.
     pub fn add_net(&mut self, name: impl fmt::Display) -> NetId {
-        self.conn.take();
+        self.reset_memos();
         self.net_names.push(format_args!("{name}"))
     }
 
@@ -171,7 +183,7 @@ impl Design {
         nets: impl IntoIterator<Item = NetId>,
         clock: Option<NetId>,
     ) {
-        self.conn.take();
+        self.reset_memos();
         self.instance_names.push(name);
         self.instances.push(Inst {
             cell_type,
@@ -184,8 +196,15 @@ impl Design {
 
     /// Add a macro instance.
     pub fn add_macro(&mut self, m: MacroInstance) {
-        self.conn.take();
+        self.reset_memos();
         self.macros.push(m);
+    }
+
+    /// Drop the connectivity index and the levels: the mutation at hand
+    /// can change both.
+    fn reset_memos(&mut self) {
+        self.conn.take();
+        self.levels.take();
     }
 
     /// Cell instances.
@@ -325,8 +344,21 @@ impl Design {
     /// `pin_cap(t, pin)` is the capacitance of pin `pin` of cell type `t`,
     /// asked once per type for each input and `CLK`; every macro pin
     /// presents `macro_cap`.
+    ///
+    /// The nets are split into contiguous chunks over
+    /// [`work::threads`] threads, each filling its own nets' loads, so the
+    /// loads are the same bits at any thread count.
     #[must_use]
     pub fn net_loads(&self, macro_cap: f64, pin_cap: impl Fn(usize, &str) -> f64) -> Vec<f64> {
+        self.net_loads_on(work::threads(), macro_cap, pin_cap)
+    }
+
+    fn net_loads_on(
+        &self,
+        threads: usize,
+        macro_cap: f64,
+        pin_cap: impl Fn(usize, &str) -> f64,
+    ) -> Vec<f64> {
         let conn = self.connectivity();
         let caps: Vec<Vec<f64>> = self
             .cell_types
@@ -343,21 +375,42 @@ impl Design {
             }
             PinRef::Macro { .. } => macro_cap,
         };
-        (0..self.net_count())
-            .map(|net| {
-                let loads = conn.loads(net);
-                loads.iter().fold(0.0, |sum, load| sum + cap(load)) + self.wire_cap(loads.len())
-            })
-            .collect()
+        let net_load = |net| {
+            let loads = conn.loads(net);
+            loads.iter().fold(0.0, |sum, load| sum + cap(load)) + self.wire_cap(loads.len())
+        };
+        let mut loads = vec![0.0; self.net_count()];
+        let ranges = work::split(loads.len(), threads, MIN_NETS_PER_THREAD);
+        let pieces = loads.chunks_mut(ranges[0].len().max(1));
+        let filled = work::fork(ranges.into_iter().zip(pieces).collect(), |(nets, piece)| {
+            for (load, net) in piece.iter_mut().zip(nets) {
+                *load = net_load(net);
+            }
+            Ok::<(), Infallible>(())
+        });
+        let Ok(_) = filled;
+        loads
     }
 
-    /// Levelize the combinational instances (Kahn): every instance comes
-    /// after the combinational instances driving its inputs. `seq[t]`
-    /// marks the sequential cell types, whose instances break paths and
-    /// are left out. Instances on or behind a combinational loop are left
-    /// out too.
+    /// The combinational instances in [`Levels`], for the sequential cell
+    /// types `seq[t]` marks (their instances break paths and are left out,
+    /// as are instances on or behind a combinational loop).
+    ///
+    /// The levels are built on the first call and kept until the design
+    /// changes. STA and toggle simulation pass the same mask and share
+    /// one build; a call with another mask than the kept one's gets a
+    /// build of its own.
     #[must_use]
-    pub fn comb_order(&self, seq: &[bool]) -> Vec<u32> {
+    pub fn levels(&self, seq: &[bool]) -> Cow<'_, Levels> {
+        let kept = self.levels.get_or_init(|| self.build_levels(seq));
+        if kept.seq == seq {
+            Cow::Borrowed(kept)
+        } else {
+            Cow::Owned(self.build_levels(seq))
+        }
+    }
+
+    fn build_levels(&self, seq: &[bool]) -> Levels {
         let (conn, n) = (self.connectivity(), self.cell_count());
         let comb = |i: usize| !seq[self.instances[i].cell_type as usize];
         // The first combinational driver of each net.
@@ -373,41 +426,77 @@ impl Design {
             })
             .collect();
         let driver = &driver;
-        let comb_inputs = move |i: usize| {
-            let srcs = self.instance_ids(i).inputs.iter();
-            srcs.map(move |&net| driver[net as usize])
-                .filter(|&d| d != u32::MAX)
-        };
-        let mut indegree: Vec<u32> = (0..n)
-            .map(|i| {
-                if comb(i) {
-                    u32_id(comb_inputs(i).count())
-                } else {
-                    0
-                }
-            })
-            .collect();
         let (fan_start, fanout) = csr(n, 0u32, |emit| {
             for i in (0..n).filter(|&i| comb(i)) {
-                for src in comb_inputs(i) {
-                    emit(src as usize, u32_id(i));
+                for &net in self.instance_ids(i).inputs {
+                    let src = driver[net as usize];
+                    if src != u32::MAX {
+                        emit(src as usize, u32_id(i));
+                    }
                 }
             }
         });
+        let mut indegree = vec![0u32; n];
+        for &i in &fanout {
+            indegree[i as usize] += 1;
+        }
         let mut order: Vec<u32> = Vec::with_capacity(n);
-        order.extend((0..n).filter(|&i| comb(i) && indegree[i] == 0).map(u32_id));
-        let mut head = 0;
-        while head < order.len() {
-            let i = order[head] as usize;
-            head += 1;
-            for &next in &fanout[fan_start[i] as usize..fan_start[i + 1] as usize] {
-                indegree[next as usize] -= 1;
-                if indegree[next as usize] == 0 {
-                    order.push(next);
-                }
+        let mut comb_count = 0;
+        for i in (0..n).filter(|&i| comb(i)) {
+            comb_count += 1;
+            if indegree[i] == 0 {
+                order.push(u32_id(i));
             }
         }
-        order
+        // FIFO Kahn, one generation at a time: a generation is a level.
+        // Each level's output nets are numbered as its instances are taken;
+        // a net with several drivers keeps its first one's number.
+        let mut slot = vec![u32::MAX; self.net_count()];
+        let (mut level_start, mut slot_start) = (vec![0], vec![0]);
+        let (mut head, mut taken) = (0, 0);
+        while head < order.len() {
+            let end = order.len();
+            for pos in head..end {
+                let i = order[pos] as usize;
+                for &net in self.instance_ids(i).outputs {
+                    if slot[net as usize] == u32::MAX {
+                        slot[net as usize] = taken;
+                        taken += 1;
+                    }
+                }
+                for &next in &fanout[fan_start[i] as usize..fan_start[i + 1] as usize] {
+                    indegree[next as usize] -= 1;
+                    if indegree[next as usize] == 0 {
+                        order.push(next);
+                    }
+                }
+            }
+            head = end;
+            level_start.push(u32_id(end));
+            slot_start.push(taken);
+        }
+        // The nets no levelled instance drives take the first slots, in
+        // net order; the levels' outputs follow them.
+        let undriven = u32_id(self.net_count()) - taken;
+        let mut free = 0;
+        for s in &mut slot {
+            if *s == u32::MAX {
+                *s = free;
+                free += 1;
+            } else {
+                *s += undriven;
+            }
+        }
+        slot_start.iter_mut().for_each(|s| *s += undriven);
+        Levels {
+            seq: seq.to_vec(),
+            comb: comb_count,
+            order,
+            level_start,
+            slot,
+            slot_start,
+            single_driver: (0..self.net_count()).all(|net| conn.drivers(net).len() <= 1),
+        }
     }
 
     /// The first instance, in instance order, whose cell type `pick`
@@ -601,6 +690,90 @@ pub enum PinRef {
     },
 }
 
+/// The combinational instances of a [`Design`] grouped by level, and its
+/// nets numbered to match, from [`Design::levels`].
+///
+/// Level 0 holds the instances that no combinational instance drives, and
+/// level `l + 1` those whose latest combinational driver is in level `l`:
+/// the generations of a FIFO Kahn walk, so the levels read in order are
+/// that walk's order. Each net has a *slot*: first the nets that no
+/// levelled instance drives, in net order, then each level's output nets,
+/// instance by instance in pin order. When every net has at most one
+/// driver, level `l`'s outputs fill [`Levels::level_slots`]`(l)` and only
+/// level `l` writes there, so a propagation can write a level's slots
+/// while it reads the finished levels' below them.
+#[derive(Debug, Clone)]
+pub struct Levels {
+    /// The sequential-type mask the levels were built for.
+    seq: Vec<bool>,
+    /// Combinational instances, levelled or not.
+    comb: usize,
+    /// The levelled instances, level by level.
+    order: Vec<u32>,
+    /// Level `l` is `order[level_start[l]..level_start[l + 1]]`.
+    level_start: Vec<u32>,
+    /// Slot of each net.
+    slot: Vec<u32>,
+    /// Level `l`'s outputs fill slots `slot_start[l]..slot_start[l + 1]`.
+    slot_start: Vec<u32>,
+    /// Whether no net has two drivers.
+    single_driver: bool,
+}
+
+impl Levels {
+    /// The levelled instances, level by level.
+    #[must_use]
+    pub fn order(&self) -> &[u32] {
+        &self.order
+    }
+
+    /// Number of levels.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.level_start.len() - 1
+    }
+
+    /// Whether there are no levels (no combinational instance is
+    /// levelled).
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The instances of level `l`.
+    #[must_use]
+    pub fn level(&self, l: usize) -> &[u32] {
+        &self.order[self.level_start[l] as usize..self.level_start[l + 1] as usize]
+    }
+
+    /// The slots of level `l`'s output nets.
+    #[must_use]
+    pub fn level_slots(&self, l: usize) -> Range<usize> {
+        self.slot_start[l] as usize..self.slot_start[l + 1] as usize
+    }
+
+    /// The slot of `net`.
+    #[inline]
+    #[must_use]
+    pub fn slot(&self, net: NetId) -> usize {
+        self.slot[net] as usize
+    }
+
+    /// Number of combinational instances. It exceeds the length of
+    /// [`Levels::order`] when some are on or behind a loop.
+    #[must_use]
+    pub fn comb_count(&self) -> usize {
+        self.comb
+    }
+
+    /// Whether every net has at most one driver, so that each slot has one
+    /// writer, in its own level.
+    #[must_use]
+    pub fn single_driver(&self) -> bool {
+        self.single_driver
+    }
+}
+
 /// Net connectivity in CSR form (compressed sparse rows): one flat array
 /// of loads and one of drivers, each with per-net start offsets.
 #[derive(Debug, Clone)]
@@ -669,39 +842,160 @@ mod tests {
         assert!(c.loads(y).is_empty());
     }
 
+    /// The kept levels, which must be the memo rather than a build of
+    /// their own: `[INVx1, BUFx2]` are both combinational.
+    fn kept_levels(d: &Design) -> &Levels {
+        match d.levels(&[false, false]) {
+            Cow::Borrowed(levels) => levels,
+            Cow::Owned(_) => panic!("the mask is the kept one's"),
+        }
+    }
+
+    /// Every net's slot, in net order.
+    fn slots(d: &Design) -> Vec<usize> {
+        (0..d.net_count()).map(|n| kept_levels(d).slot(n)).collect()
+    }
+
     #[test]
     fn connectivity_is_rebuilt_after_every_mutation() {
         let cell = |instance| PinRef::Cell { instance, pin: 0 };
         let mut b = DesignBuilder::new("grow");
         let (a, y) = (b.input("a"), b.net("y"));
-        let _ = b.inv(a, 1);
-        assert_eq!(b.design().connectivity().loads(a), [cell(0)]);
+        let n = b.inv(a, 1);
+        let _ = b.buf(a, 2);
+        assert_eq!(b.design().connectivity().loads(a), [cell(0), cell(1)]);
+        assert_eq!(kept_levels(b.design()).order(), [0, 1]);
+        assert_eq!(slots(b.design()), [0, 1, 2, 3], "a, y, then level 0");
         // A gate between existing nets: no net is added with it.
         b.alias_with_buffer(a, y);
-        assert_eq!(b.design().connectivity().loads(a), [cell(0), cell(1)]);
-        assert_eq!(b.design().connectivity().drivers(y), [cell(1)]);
-        // A macro that loads it too.
+        let conn = b.design().connectivity();
+        assert_eq!(conn.loads(a), [cell(0), cell(1), cell(2)]);
+        assert_eq!(conn.drivers(y), [cell(2)]);
+        assert_eq!(kept_levels(b.design()).order(), [0, 1, 2]);
+        assert_eq!(slots(b.design()), [0, 3, 1, 2], "a, then level 0: n, m, y");
+        // A gate behind the alias, in a level of its own.
+        let z = b.inv(y, 1);
+        let levels = kept_levels(b.design());
+        assert_eq!(levels.level(1), [3]);
+        assert_eq!(levels.slot(z), 4);
+        assert!(levels.single_driver());
+        // A macro that loads `a` and drives `n` as well.
         let clk = b.clock_input("clk");
         assert!(b.design().connectivity().loads(clk).is_empty());
+        assert_eq!(slots(b.design()), [0, 4, 2, 3, 5, 1], "clk is undriven");
         b.add_macro_instance(MacroInstance {
             name: "rf".into(),
             spec: SramMacro::regfile("rf", 1.0),
             clock: clk,
             inputs: vec![a],
-            outputs: vec![],
+            outputs: vec![n],
             region: "core".into(),
         });
         let conn = b.design().connectivity();
         assert_eq!(
             conn.loads(a),
-            [cell(0), cell(1), PinRef::Macro { index: 0 }]
+            [cell(0), cell(1), cell(2), PinRef::Macro { index: 0 }]
         );
         assert_eq!(conn.loads(clk), [PinRef::Macro { index: 0 }]);
+        assert!(!kept_levels(b.design()).single_driver());
         // A net added after the index was built.
         let mut d = b.finish();
         let late = d.add_net("late");
         assert!(d.connectivity().loads(late).is_empty());
         assert!(d.connectivity().drivers(late).is_empty());
+        assert_eq!(slots(&d), [0, 5, 3, 4, 6, 1, 2], "late is undriven too");
+    }
+
+    #[test]
+    fn net_loads_are_the_same_bits_at_any_thread_count() {
+        let mut b = DesignBuilder::new("loads");
+        let ins: Vec<_> = (0..64).map(|k| b.input(&format!("in{k}"))).collect();
+        let mut row = ins.clone();
+        while b.design().net_count() < 3 * MIN_NETS_PER_THREAD + 1000 {
+            row = (0..row.len())
+                .map(|k| b.nand2(row[k], row[(k * 7 + 3) % row.len()], 1 + k as u32 % 2))
+                .collect();
+        }
+        let d = b.finish();
+        assert_eq!(work::split(d.net_count(), 7, MIN_NETS_PER_THREAD).len(), 3);
+        let pin_cap = |t: usize, pin: &str| 0.3e-15 * (t + 1) as f64 + 0.07e-15 * pin.len() as f64;
+        let bits = |threads| -> Vec<u64> {
+            let loads = d.net_loads_on(threads, 2.0e-15, pin_cap);
+            loads.into_iter().map(f64::to_bits).collect()
+        };
+        let serial = bits(1);
+        assert_eq!(serial.len(), d.net_count());
+        for threads in [2, 3, 7] {
+            assert!(bits(threads) == serial, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn tiny_soc_levels_are_the_fifo_kahn_order() {
+        use std::collections::VecDeque;
+        let d = crate::build_soc(&crate::SocConfig::tiny());
+        let seq: Vec<bool> = d
+            .cell_types()
+            .iter()
+            .map(|t| t.name.starts_with("DFF"))
+            .collect();
+        let comb = |i: usize| !seq[d.instance_ids(i).cell_type];
+        // Reference: each net's first combinational driver by instance,
+        // every combinational input edge in instance then pin order, and a
+        // plain FIFO queue.
+        let mut driver = vec![None; d.net_count()];
+        for i in (0..d.cell_count()).filter(|&i| comb(i)) {
+            for &net in d.instance_ids(i).outputs {
+                driver[net as usize].get_or_insert(i);
+            }
+        }
+        let mut fanout = vec![Vec::new(); d.cell_count()];
+        let mut indegree = vec![0; d.cell_count()];
+        for i in (0..d.cell_count()).filter(|&i| comb(i)) {
+            for &net in d.instance_ids(i).inputs {
+                if let Some(src) = driver[net as usize] {
+                    fanout[src].push(i);
+                    indegree[i] += 1;
+                }
+            }
+        }
+        let mut queue: VecDeque<usize> = (0..d.cell_count())
+            .filter(|&i| comb(i) && indegree[i] == 0)
+            .collect();
+        let (mut order, mut depth) = (Vec::new(), vec![0; d.cell_count()]);
+        while let Some(i) = queue.pop_front() {
+            order.push(i as u32);
+            for &next in &fanout[i] {
+                depth[next] = depth[next].max(depth[i] + 1);
+                indegree[next] -= 1;
+                if indegree[next] == 0 {
+                    queue.push_back(next);
+                }
+            }
+        }
+        let levels = d.levels(&seq);
+        assert_eq!(levels.order(), order);
+        assert_eq!(levels.comb_count(), order.len(), "the tiny SoC has no loop");
+        assert!(levels.single_driver());
+        // Level `l` holds exactly the instances `l` steps deep, and its
+        // output nets fill its slots in order.
+        let mut next_slot = levels.level_slots(0).start;
+        for l in 0..levels.len() {
+            assert!(levels.level(l).iter().all(|&i| depth[i as usize] == l));
+            for &i in levels.level(l) {
+                for &net in d.instance_ids(i as usize).outputs {
+                    assert_eq!(levels.slot(net as usize), next_slot);
+                    next_slot += 1;
+                }
+            }
+            assert_eq!(levels.level_slots(l).end, next_slot);
+        }
+        assert_eq!(next_slot, d.net_count());
+        let widest = (0..levels.len()).map(|l| levels.level(l).len()).max();
+        assert!(
+            widest < Some(4096),
+            "the golden never reaches a second thread"
+        );
     }
 
     #[test]

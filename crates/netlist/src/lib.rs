@@ -29,7 +29,7 @@ pub mod verilog;
 
 pub use builder::DesignBuilder;
 pub use design::{
-    CellType, Connectivity, Design, InstanceIds, InstanceRef, MacroInstance, NetId, PinRef,
+    CellType, Connectivity, Design, InstanceIds, InstanceRef, Levels, MacroInstance, NetId, PinRef,
 };
 pub use soc::{build_soc, SocConfig};
 pub use sram::SramMacro;

@@ -89,9 +89,10 @@ pub fn simulate_toggles(
         })
         .collect();
 
-    // Topological order of combinational instances (registers break cycles).
+    // Topological order of combinational instances (registers break
+    // cycles): the levels STA builds, since its mask is the same.
     let seq: Vec<bool> = ff.iter().map(Option::is_some).collect();
-    let order = design.comb_order(&seq);
+    let levels = design.levels(&seq);
 
     let mut values = vec![false; n_nets];
     let mut ff_state = vec![false; design.cell_count()];
@@ -100,7 +101,7 @@ pub fn simulate_toggles(
     // Evaluate the combinational instances in order, counting toggles.
     let mut outs = Vec::new();
     let mut settle = |values: &mut [bool], toggles: &mut [u64]| -> Result<()> {
-        for &i in &order {
+        for &i in levels.order() {
             let inst = insts.get(i as usize);
             let ins = inst.input_nets();
             outs.clear();

@@ -1,11 +1,12 @@
 //! Average-power computation (the Fig. 6 breakdown).
 
+use std::cell::Cell;
 use std::collections::HashMap;
 
 use cryo_device::ModelCard;
 use cryo_liberty::{Library, PowerArc};
 use cryo_netlist::design::Design;
-use cryo_spice::fault;
+use cryo_spice::{fault, work};
 
 use crate::activity::{ActivityProfile, ToggleCounts};
 use crate::{PowerError, Result};
@@ -100,6 +101,35 @@ pub fn analyze_power(
     profile: &ActivityProfile,
     measured: Option<&ToggleCounts>,
 ) -> Result<PowerReport> {
+    analyze_power_on(design, lib, cfg, profile, measured, work::threads())
+}
+
+/// Fewest instances [`analyze_power`] hands a thread: below this,
+/// starting a thread costs more than the contributions it computes.
+const MIN_INSTANCES_PER_THREAD: usize = 4096;
+
+thread_local! {
+    /// The per-instance contributions of the last analysis on this thread,
+    /// kept for the next one. A full-SoC buffer is 4.6 MB. Allocated and
+    /// freed by every call, its release let glibc trim the heap, and the
+    /// next netlist build and analysis faulted their pages in again:
+    /// 28 400 minor faults per benchmark signoff operation, against none
+    /// with the buffer kept.
+    static CONTRIBUTIONS: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
+}
+
+/// [`analyze_power`] with the per-instance contributions computed over
+/// `threads` threads, in contiguous chunks of instances, and summed in
+/// instance order on the calling thread, so the totals keep their bits at
+/// any thread count.
+fn analyze_power_on(
+    design: &Design,
+    lib: &Library,
+    cfg: &PowerConfig,
+    profile: &ActivityProfile,
+    measured: Option<&ToggleCounts>,
+    threads: usize,
+) -> Result<PowerReport> {
     let cell_types = design.cell_types();
     let cells = crate::bind_cells(design, lib)?;
     // Net loads (same model as STA).
@@ -131,21 +161,16 @@ pub fn analyze_power(
     let region_alpha: Vec<f64> = design.regions().iter().map(|r| profile.alpha(r)).collect();
     let mean_activity = measured.map(ToggleCounts::mean_activity);
 
+    // One instance's dynamic power, or `None` when it is not finite.
     let fault_active = fault::is_active();
-    let mut dynamic = 0.0;
-    let mut logic_leak = 0.0;
-    let mut region_dynamic: Vec<Option<f64>> = vec![None; region_alpha.len()];
-    for i in 0..design.cell_count() {
+    let contribution = |i: usize| {
         // Per-instance injection context: the fault schedule is a function
-        // of the instance, so serial and parallel callers see the same
-        // poisoned contribution (aggregation itself is serial).
+        // of the instance, whichever thread computes it.
         if fault_active {
             fault::set_context(&format!("power:{}", design.instance_name(i)));
         }
         let inst = design.instance_ids(i);
         let t = inst.cell_type;
-        logic_leak += leakage[t];
-
         let mut inst_dyn = 0.0;
         for (&net, arcs) in inst.outputs.iter().zip(&out_arcs[t]) {
             let net = net as usize;
@@ -170,22 +195,41 @@ pub fn analyze_power(
         if fault_active && fault::should_fault_power_accum() {
             inst_dyn = f64::NAN;
         }
-        // Detect poison at the contributing instance — a NaN summed into
-        // the totals would silently wipe out the whole report.
-        if !inst_dyn.is_finite() {
-            if fault_active {
-                fault::set_context("");
+        inst_dyn.is_finite().then_some(inst_dyn)
+    };
+    let mut contributions = CONTRIBUTIONS.take();
+    contributions.clear();
+    contributions.resize(design.cell_count(), 0.0);
+    let ranges = work::split(contributions.len(), threads, MIN_INSTANCES_PER_THREAD);
+    let pieces = contributions.chunks_mut(ranges[0].len().max(1));
+    let filled = work::fork(
+        ranges.into_iter().zip(pieces).collect(),
+        |(range, piece)| {
+            for (slot, i) in piece.iter_mut().zip(range) {
+                *slot = contribution(i).ok_or(i)?;
             }
-            return Err(PowerError::NonFiniteAccumulation {
-                instance: design.instance_name(i).to_string(),
-            });
-        }
-        dynamic += inst_dyn;
-        *region_dynamic[inst.region].get_or_insert(0.0) += inst_dyn;
-    }
+            Ok(())
+        },
+    );
     if fault_active {
         fault::set_context("");
     }
+    // Poison is detected at the contributing instance, the first in
+    // instance order — a NaN summed into the totals would silently wipe
+    // out the whole report.
+    filled.map_err(|i| PowerError::NonFiniteAccumulation {
+        instance: design.instance_name(i).to_string(),
+    })?;
+    let mut dynamic = 0.0;
+    let mut logic_leak = 0.0;
+    let mut region_dynamic: Vec<Option<f64>> = vec![None; region_alpha.len()];
+    for (i, &inst_dyn) in contributions.iter().enumerate() {
+        let inst = design.instance_ids(i);
+        logic_leak += leakage[inst.cell_type];
+        dynamic += inst_dyn;
+        *region_dynamic[inst.region].get_or_insert(0.0) += inst_dyn;
+    }
+    CONTRIBUTIONS.set(contributions);
     let mut per_region: HashMap<String, f64> = design
         .regions()
         .iter()
@@ -479,6 +523,89 @@ mod tests {
         // The injector is gone: the same analysis is clean and finite.
         let report = analyze_power(&d, &lib, &cfg, &profile, None).unwrap();
         assert!(report.total().is_finite());
+    }
+
+    /// Rows of four-inverter chains in three regions: 13 288 instances,
+    /// which three threads split.
+    fn wide_design() -> Design {
+        let mut b = DesignBuilder::new("wide");
+        for row in 0..(3 * MIN_INSTANCES_PER_THREAD + 1000) / 4 {
+            b.set_region(["core", "alu", "fpu"][row % 3]);
+            let mut x = b.input(&format!("in{row}"));
+            for _ in 0..4 {
+                x = b.inv(x, 1);
+            }
+            b.mark_output(x);
+        }
+        b.finish()
+    }
+
+    /// A report's totals and per-region powers (by name) as bits.
+    fn bits(r: &PowerReport) -> Vec<u64> {
+        let mut regions: Vec<_> = r.per_region_dynamic.iter().collect();
+        regions.sort_by(|a, b| a.0.cmp(b.0));
+        [r.dynamic_w, r.logic_leakage_w, r.sram_leakage_w]
+            .into_iter()
+            .chain(regions.into_iter().map(|(_, &w)| w))
+            .map(f64::to_bits)
+            .collect()
+    }
+
+    #[test]
+    fn the_thread_count_changes_no_power_bit() {
+        use cryo_spice::fault::FaultPlan;
+        let lib = synth_lib();
+        let d = wide_design();
+        assert_eq!(
+            work::split(d.cell_count(), 7, MIN_INSTANCES_PER_THREAD).len(),
+            3
+        );
+        let cfg = PowerConfig::at(&ModelCard::nominal(Polarity::N), 300.0, 1e9);
+        let mut profile = ActivityProfile::with_default(0.1);
+        profile.set_region("alu", 0.37).set_region("fpu", 0.013);
+        let vectors: Vec<Vec<bool>> = (0..6)
+            .map(|v| {
+                (0..d.primary_inputs.len())
+                    .map(|k| (k * 7 + v) % 5 < 2)
+                    .collect()
+            })
+            .collect();
+        let toggles = simulate_toggles(&d, &lib, &vectors).unwrap();
+        for measured in [None, Some(&toggles)] {
+            let runs: Vec<Vec<u64>> = [1, 2, 3, 7]
+                .into_iter()
+                .map(|threads| {
+                    let r = analyze_power_on(&d, &lib, &cfg, &profile, measured, threads);
+                    bits(&r.unwrap())
+                })
+                .collect();
+            assert!(runs.iter().all(|r| *r == runs[0]), "{runs:?}");
+        }
+        // Under faults: the first poisoned instance in instance order, and
+        // the one fault that poisoned it.
+        let plan = FaultPlan {
+            seed: 9,
+            power_aggregation: 0.0002,
+            ..FaultPlan::default()
+        };
+        let runs: Vec<_> = [1, 2, 3, 7]
+            .into_iter()
+            .map(|threads| {
+                let _g = fault::install_guard(plan.clone());
+                let r = analyze_power_on(&d, &lib, &cfg, &profile, None, threads);
+                (r.unwrap_err(), fault::injection_count())
+            })
+            .collect();
+        assert!(runs.iter().all(|r| *r == runs[0]), "{runs:?}");
+        assert_eq!(runs[0].1, 1);
+        let PowerError::NonFiniteAccumulation { instance } = &runs[0].0 else {
+            panic!("{:?}", runs[0].0);
+        };
+        let poisoned = (0..d.cell_count()).position(|i| d.instance_name(i) == instance);
+        assert!(
+            poisoned > Some(d.cell_count() / 2),
+            "the poison lands in a worker's chunk at any thread count above 1"
+        );
     }
 
     #[test]

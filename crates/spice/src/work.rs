@@ -14,11 +14,11 @@
 //! thread that handed it the work [`Handback::fold`]s that in, so from the
 //! caller's perspective [`get`] and `fault::injection_count` cover all the
 //! work it fanned out, while unrelated threads (e.g. other `#[test]`s) stay
-//! untouched. Work crosses threads only through `cryo_cells::sched::map`
-//! and `cryo_core::supervise::spawn_counted`.
+//! untouched. Work crosses threads only through `cryo_cells::sched::map`,
+//! `cryo_core::supervise::spawn_counted` and [`fork`].
 
 use std::cell::Cell;
-use std::ops::AddAssign;
+use std::ops::{AddAssign, Range};
 
 use crate::fault::{self, FaultGuard, FaultPlan};
 use crate::sparse::{self, WarmstartOverrideGuard};
@@ -173,9 +173,111 @@ impl Handback {
     }
 }
 
+/// Threads a fan-out may use: [`std::thread::available_parallelism`],
+/// which follows the process's CPU affinity, or 1 if it is unknowable.
+#[must_use]
+pub fn threads() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
+}
+
+/// Split `0..n` into contiguous ranges, in order: as many as `threads`
+/// allows with at least `min` items each, and at least one.
+#[must_use]
+pub fn split(n: usize, threads: usize, min: usize) -> Vec<Range<usize>> {
+    let parts = threads.min(n / min.max(1)).max(1);
+    let len = n.div_ceil(parts).max(1);
+    (0..parts)
+        .map(|k| (k * len).min(n)..((k + 1) * len).min(n))
+        .collect()
+}
+
+/// Run `f` on every part and return the results in part order: the first
+/// part on this thread, each other part on a scoped thread that enters
+/// this thread's [`capture`]d context and folds its [`Handback`] in when
+/// it ends.
+///
+/// The first error in part order wins, and the parts after it fold
+/// nothing back: the ledger and the injector count then read what a
+/// serial loop over the parts, stopping at that error, would leave.
+///
+/// # Errors
+///
+/// The first part's error, in part order.
+pub fn fork<P: Send, R: Send, E: Send>(
+    parts: Vec<P>,
+    f: impl Fn(P) -> Result<R, E> + Sync,
+) -> Result<Vec<R>, E> {
+    let mut parts = parts.into_iter();
+    let Some(own) = parts.next() else {
+        return Ok(Vec::new());
+    };
+    let ctx = capture();
+    std::thread::scope(|s| {
+        let (ctx, f) = (&ctx, &f);
+        let workers: Vec<_> = parts
+            .map(|part| {
+                s.spawn(move || {
+                    let entered = ctx.enter();
+                    let out = f(part);
+                    (out, entered.leave())
+                })
+            })
+            .collect();
+        let mut out = f(own).map(|r| vec![r]);
+        for worker in workers {
+            let (r, handback) = worker
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            if let Ok(done) = &mut out {
+                handback.fold();
+                match r {
+                    Ok(r) => done.push(r),
+                    Err(e) => out = Err(e),
+                }
+            }
+        }
+        out
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn split_covers_in_order_with_a_minimum_per_part() {
+        assert_eq!(split(10, 3, 1), [0..4, 4..8, 8..10]);
+        assert_eq!(split(10, 3, 4), [0..5, 5..10]);
+        assert_eq!(split(3, 7, 4), vec![0..3], "one part below the minimum");
+        assert_eq!(split(0, 2, 1), vec![0..0]);
+    }
+
+    #[test]
+    fn fork_keeps_part_order_and_folds_only_up_to_the_first_error() {
+        let _ = take();
+        let _g = fault::install_guard(FaultPlan {
+            sta_lookup: 1.0,
+            ..FaultPlan::new(1)
+        });
+        let run = |k: usize| {
+            bump(|w| w.arc_evals += 1);
+            fault::set_context(&format!("part{k}"));
+            assert!(fault::should_fault_sta_lookup());
+            if k == 2 || k == 4 {
+                Err(k)
+            } else {
+                Ok(k * 10)
+            }
+        };
+        assert_eq!(fork(vec![0, 1, 3], run), Ok(vec![0, 10, 30]));
+        assert_eq!((take().arc_evals, fault::injection_count()), (3, 3));
+        assert_eq!(fork(vec![0, 1, 2, 3, 4], run), Err(2));
+        assert_eq!(
+            (take().arc_evals, fault::injection_count()),
+            (3, 6),
+            "parts 3 and 4 ran but fold nothing"
+        );
+    }
 
     #[test]
     fn take_drains_add_folds_and_threads_stay_apart() {

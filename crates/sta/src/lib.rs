@@ -20,6 +20,27 @@
 //!   inputs, and primary outputs.
 //!
 //! Hold analysis runs the dual min-propagation against the hold margins.
+//!
+//! **Levels across cores.** Propagation runs level by level over the
+//! design's memoized [`cryo_netlist::Levels`]: the combinational instances
+//! grouped by FIFO Kahn generation, and the nets numbered in the same
+//! order ("slots"), so that each level's output nets are one contiguous
+//! slice of the timing array. At each level the array is split at the
+//! level's first slot into the finished levels, read-only, and the current
+//! level, writable. A wide level is split into contiguous chunks of at
+//! least 4 096 instances, one per `available_parallelism()` scoped thread,
+//! and each thread writes only its own instances' slots. The thread count
+//! changes no output:
+//!
+//! - each instance reseeds its own fault stream (`sta:<instance>`), and
+//!   workers enter the caller's fault plan and hand their fired faults and
+//!   arc evaluations back ([`cryo_spice::work::fork`]);
+//! - degraded-arc records concatenate in chunk order before the final
+//!   sort, and under [`MissingArcPolicy::Fail`] the first error in serial
+//!   order wins, with the arc evaluations and faults the serial walk would
+//!   have counted up to it;
+//! - a design with a net of two drivers stays on one thread, since such a
+//!   net has two writers.
 
 pub mod audit;
 mod engine;

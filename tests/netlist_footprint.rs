@@ -9,6 +9,10 @@
 //! - `Design::connectivity`: 3 063 140 allocations and 329 live bytes per
 //!   instance.
 //!
+//! The levels (`Design::levels`) are kept in the design beside the
+//! connectivity: an instance order and a slot per net, about 8 bytes per
+//! instance.
+//!
 //! The file holds a single test, so no other test thread allocates while
 //! it counts.
 
@@ -60,15 +64,28 @@ fn full_soc_netlist_is_compact() {
     // The index is kept in the design: asking again allocates nothing.
     let _ = design.connectivity();
     let (calls3, live3) = count();
+    let seq: Vec<bool> = design
+        .cell_types()
+        .iter()
+        .map(|t| t.name.starts_with("DFF"))
+        .collect();
+    let (_, live4) = count();
+    let _ = design.levels(&seq);
+    let (calls5, live5) = count();
+    // The levels are kept too.
+    let _ = design.levels(&seq);
+    let (calls6, live6) = count();
 
     let n = design.cell_count() as f64;
     let build_calls = (calls1 - calls0) as f64 / n;
     let build_bytes = (live1 - live0) as f64 / n;
     let conn_calls = calls2 - calls1;
     let conn_bytes = (live2 - live1) as f64 / n;
+    let level_bytes = (live5 - live4) as f64 / n;
     eprintln!(
         "{n} instances: build_soc {build_calls:.2} allocations and {build_bytes:.1} B per \
-         instance; connectivity {conn_calls} allocations and {conn_bytes:.1} B per instance"
+         instance; connectivity {conn_calls} allocations and {conn_bytes:.1} B per instance; \
+         levels {level_bytes:.1} B per instance"
     );
     assert!(
         build_calls <= 2.0,
@@ -87,5 +104,14 @@ fn full_soc_netlist_is_compact() {
         (calls3 - calls2, live3),
         (0, live2),
         "a second connectivity() call"
+    );
+    assert!(
+        level_bytes <= 12.0,
+        "levels: {level_bytes:.1} live bytes per instance"
+    );
+    assert_eq!(
+        (calls6 - calls5, live6),
+        (0, live5),
+        "a second levels() call"
     );
 }
