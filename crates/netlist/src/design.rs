@@ -2,14 +2,12 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::fmt::{self, Write as _};
 use std::ops::Range;
 use std::sync::OnceLock;
 
 use cryo_liberty::Library;
-
-use std::convert::Infallible;
-
 use cryo_spice::work;
 
 use crate::sram::SramMacro;
