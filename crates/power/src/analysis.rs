@@ -161,8 +161,8 @@ fn analyze_power_on(
     let region_alpha: Vec<f64> = design.regions().iter().map(|r| profile.alpha(r)).collect();
     let mean_activity = measured.map(ToggleCounts::mean_activity);
 
-    // One instance's dynamic power, or `None` when it is not finite.
     let fault_active = fault::is_active();
+    // One instance's dynamic power, or `None` when it is not finite.
     let contribution = |i: usize| {
         // Per-instance injection context: the fault schedule is a function
         // of the instance, whichever thread computes it.

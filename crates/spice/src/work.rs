@@ -202,7 +202,7 @@ pub fn split(n: usize, threads: usize, min: usize) -> Vec<Range<usize>> {
 ///
 /// # Errors
 ///
-/// The first part's error, in part order.
+/// The error of the first part, in part order, that returned one.
 pub fn fork<P: Send, R: Send, E: Send>(
     parts: Vec<P>,
     f: impl Fn(P) -> Result<R, E> + Sync,
